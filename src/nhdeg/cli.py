@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -39,7 +38,6 @@ def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--tol", type=float, default=None, help="override tolerance")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
 
 def _params_from(args) -> ModelParams:
@@ -136,7 +134,8 @@ def cmd_phases(args) -> int:
             v1, v2 = phase_boundaries(pg)
             for v in v_values:
                 label = phase_classify(pg.replace(v=float(v)), tol=args.boundary_tol)
-                fh.write(f"{g!r},{float(v)!r},{v1!r},{v2!r},{label}\n")
+                fh.write(f"{float(g)!r},{float(v)!r},{float(v1)!r},{float(v2)!r},"
+                         f"{label}\n")
     v1, v2 = phase_boundaries(p)
     print(f"phases: v1 = {v1:.6f}, v2 = {v2:.6f} at the file parameters; "
           f"grid written to {path}")
@@ -146,15 +145,7 @@ def cmd_phases(args) -> int:
 def cmd_ribbon(args) -> int:
     p = _params_from(args)
     k_values = -np.pi + 2 * np.pi * np.arange(args.k_samples) / args.k_samples
-
-    def one(k):
-        return ribbon_spectrum(p, args.axis, args.n_cells, k_values=[k])[0]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            bands = list(pool.map(one, k_values))
-    else:
-        bands = [one(k) for k in k_values]
+    bands = ribbon_spectrum(p, args.axis, args.n_cells, k_values=k_values)
     write_band_csv(_outpath(args, "bands.csv"), bands,
                    dump_vectors=args.dump_vectors)
     zero = obc_defective_check(p, args.axis, args.n_cells, args.zero_k)

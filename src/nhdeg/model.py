@@ -7,16 +7,18 @@ same-sublattice hops of strength ``t1`` carry alternating signs and
 nonreciprocity ``exp(+-ga)``, ``exp(+-gb)``; ``v`` is a staggered onsite
 potential.  Energies are quoted in units of ``t``.
 
-This module provides the Bloch matrix, its Pauli decomposition, analytic
-dispersions, asymptotic expansions at the band-touching momenta, phase
-boundaries of the insulating regimes, and real-space Hamiltonians on tori,
-cylinders and ribbons.
+The hop table ``_hop_list`` is the model's one definition.  This module
+derives from it the Bloch matrix, its Pauli decomposition, the dispersions,
+asymptotic expansions at the band-touching momenta, and real-space
+Hamiltonians on tori, cylinders and ribbons; it also gives the phase
+boundaries of the insulating regimes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,46 +130,111 @@ class DVector:
              [self.dx + 1j * self.dy, self.d0 - self.dz]], dtype=complex)
 
 
-def bloch_hamiltonian(p: ModelParams, kx, ky) -> np.ndarray:
-    """Evaluate the 2x2 Bloch matrix at momentum (kx, ky).
+# ---------------------------------------------------------------------------
+# the hop table: the one definition of the model
 
-    The four entries are exact closed forms; scalars in, a (2, 2) complex
-    array out.  The A/B ordering of rows follows the sublattice-major
-    convention used throughout the package.
+def _hop_list(p: ModelParams):
+    """All hops as (sublattice_row, sublattice_col, dx, dy, amplitude).
+
+    The matrix element H[row, col] is the coefficient of row_dag * col in
+    the second-quantized Hamiltonian; (dx, dy) is the cell displacement of
+    the column site relative to the row site.  Every Bloch, Taylor and
+    real-space quantity in the package is derived from this list.
     """
     t, t1 = p.t, p.t1
-    h11 = (-t1 * (-np.exp(-p.ga - 1j * (kx - ky)) - np.exp(p.ga + 1j * (kx - ky))
-                  + np.exp(-p.ga - 1j * (kx + ky)) + np.exp(p.ga + 1j * (kx + ky)))
-           + 1j * p.mu_a + p.v)
-    h22 = (t1 * (-np.exp(-p.gb - 1j * (kx - ky)) - np.exp(p.gb + 1j * (kx - ky))
-                 + np.exp(-p.gb - 1j * (kx + ky)) + np.exp(p.gb + 1j * (kx + ky)))
-           - 1j * p.mu_b - p.v)
-    h12 = -2 * t * np.exp(-p.gx - 1j * p.gamma) * np.cos(kx) \
-        - 2 * t * np.exp(-p.gy + 1j * p.gamma) * np.cos(ky)
-    h21 = -2 * t * np.exp(p.gx + 1j * p.gamma) * np.cos(kx) \
-        - 2 * t * np.exp(p.gy - 1j * p.gamma) * np.cos(ky)
-    return np.array([[h11, h12], [h21, h22]], dtype=complex)
+    ax = -t * np.exp(-1j * p.gamma) * np.exp(-p.gx)   # A <- B along +-x
+    bx = -t * np.exp(1j * p.gamma) * np.exp(p.gx)     # B <- A along +-x
+    ay = -t * np.exp(1j * p.gamma) * np.exp(-p.gy)    # A <- B along +-y
+    by = -t * np.exp(-1j * p.gamma) * np.exp(p.gy)    # B <- A along +-y
+    hops = [
+        (0, 1, 1, 0, ax), (0, 1, -1, 0, ax),
+        (0, 1, 0, 1, ay), (0, 1, 0, -1, ay),
+        (1, 0, 1, 0, bx), (1, 0, -1, 0, bx),
+        (1, 0, 0, 1, by), (1, 0, 0, -1, by),
+        # diagonal hops, alternating signs as printed
+        (0, 0, 1, 1, -t1 * np.exp(-p.ga)), (0, 0, 1, -1, t1 * np.exp(-p.ga)),
+        (0, 0, -1, -1, -t1 * np.exp(p.ga)), (0, 0, -1, 1, t1 * np.exp(p.ga)),
+        (1, 1, 1, 1, t1 * np.exp(-p.gb)), (1, 1, 1, -1, -t1 * np.exp(-p.gb)),
+        (1, 1, -1, -1, t1 * np.exp(p.gb)), (1, 1, -1, 1, -t1 * np.exp(p.gb)),
+        # staggered potential and optional imaginary onsite terms
+        (0, 0, 0, 0, p.v + 1j * p.mu_a),
+        (1, 1, 0, 0, -p.v - 1j * p.mu_b),
+    ]
+    return [(r, c, dx, dy, amp) for r, c, dx, dy, amp in hops if amp != 0.0]
+
+
+# -i times the cell displacement along one axis; a hop moves at most one cell
+_MINUS_I_STEPS = -1j * np.array([-1.0, 0.0, 1.0])
+
+
+@lru_cache(maxsize=64)
+def _hop_tables(p: ModelParams):
+    """The hop list as dense read-only arrays amp[entry, dx + 1, dy + 1].
+
+    Returns two tables: the matrix elements (h11, h12, h21, h22) and, hop
+    by hop, their Pauli projection (d0, dx, dy, dz) = ((h11 + h22)/2,
+    (h12 + h21)/2, i (h12 - h21)/2, (h11 - h22)/2).
+    """
+    h = np.zeros((4, 3, 3), dtype=complex)
+    for r, c, dx, dy, amp in _hop_list(p):
+        h[2 * r + c, dx + 1, dy + 1] += amp
+    d = np.stack([h[0] + h[3], h[1] + h[2], 1j * (h[1] - h[2]), h[0] - h[3]]) / 2
+    h.flags.writeable = d.flags.writeable = False
+    return h, d
+
+
+def _step_weights(k: np.ndarray, nd: int, n: int) -> np.ndarray:
+    """(-i d)^n exp(-i k d) / n! per step d: the n-th k-derivative over n!.
+
+    Shape (3,) + k.shape, with ``k`` padded on the left to ``nd`` dims.
+    """
+    k = k.reshape((1,) * (nd - k.ndim) + k.shape)
+    steps = _MINUS_I_STEPS.reshape((3,) + (1,) * nd)
+    w = np.exp(steps * k)
+    return w * (steps ** n / math.factorial(n)) if n else w
+
+
+def _hop_sum(table: np.ndarray, kx, ky, nx: int = 0, ny: int = 0) -> np.ndarray:
+    """Sum of table[:, dx, dy] * d^(nx, ny) exp(-i k.delta) / (nx! ny!).
+
+    Returns shape (4,) + broadcast(kx, ky).shape.  The dy sum runs inside
+    each dx, so each +-dy pair of equal or opposite amplitudes cancels to
+    an exact 2 cos ky or -2i sin ky factor and the diagonal hops vanish
+    exactly at ky = 0.  A flat sum over the hops leaves rounding residue
+    there that moves the non-defective touchings at M and Gamma by ~1e-6.
+    """
+    kx = np.asarray(kx, dtype=float)
+    ky = np.asarray(ky, dtype=float)
+    nd = max(kx.ndim, ky.ndim)
+    wx = _step_weights(kx, nd, nx)
+    inner = (table.reshape(table.shape + (1,) * nd) * _step_weights(ky, nd, ny)).sum(axis=2)
+    total = inner[:, 0] * wx[0]
+    total += inner[:, 1] * wx[1]
+    total += inner[:, 2] * wx[2]
+    return total
+
+
+def bloch_hamiltonian(p: ModelParams, kx, ky) -> np.ndarray:
+    """Evaluate the 2x2 Bloch matrix sum_hops amp * exp(-i k.delta).
+
+    Broadcasts over ``kx`` and ``ky``: scalars give a (2, 2) complex array,
+    arrays give ``np.broadcast(kx, ky).shape + (2, 2)``.  The A/B ordering
+    of rows follows the sublattice-major convention used throughout the
+    package.
+    """
+    entries = _hop_sum(_hop_tables(p)[0], kx, ky)
+    return np.moveaxis(entries.reshape((2, 2) + entries.shape[1:]), (0, 1), (-2, -1))
 
 
 def _d_components(p: ModelParams, kx, ky):
-    """Closed-form Pauli components; broadcasts over array kx, ky.
+    """Pauli components (d0, dx, dy, dz) of the Bloch matrix; broadcasts.
 
-    Includes the optional imaginary onsite terms, so the reconstruction
-    d0 + d.sigma = h holds for every parameter set.
+    Summed from the Pauli projection of each hop, which by linearity is
+    the projection of the Bloch matrix.  Includes the optional imaginary
+    onsite terms, so the reconstruction d0 + d.sigma = h holds for every
+    parameter set.
     """
-    t, t1 = p.t, p.t1
-    half_diff = (p.ga - p.gb) / 2.0
-    half_sum = (p.ga + p.gb) / 2.0
-    d0 = (-4j * t1 * np.sin(ky) * np.sinh(half_diff)
-          * np.cosh(half_sum + 1j * kx)) + 0.5j * (p.mu_a - p.mu_b)
-    dx = (-2 * t * np.cos(kx) * np.cosh(p.gx + 1j * p.gamma)
-          - 2 * t * np.cos(ky) * np.cosh(p.gy - 1j * p.gamma))
-    dy = (2j * t * np.cos(kx) * np.sinh(p.gx + 1j * p.gamma)
-          + 2j * t * np.cos(ky) * np.sinh(p.gy - 1j * p.gamma))
-    dz = (2 * t1 * np.sin(ky) * (np.sin(kx) * (np.cosh(p.ga) + np.cosh(p.gb))
-                                 - 1j * np.cos(kx) * (np.sinh(p.ga) + np.sinh(p.gb)))
-          + p.v) + 0.5j * (p.mu_a + p.mu_b)
-    return d0, dx, dy, dz
+    return tuple(_hop_sum(_hop_tables(p)[1], kx, ky))
 
 
 def d_vector(p: ModelParams, kx: float, ky: float) -> DVector:
@@ -183,7 +250,7 @@ def d_vector(p: ModelParams, kx: float, ky: float) -> DVector:
 
 
 def discriminant_function(p: ModelParams, kx, ky):
-    """Discriminant eta(k) = tr(h)^2 - 4 det(h) in closed form.
+    """Discriminant eta(k) = tr(h)^2 - 4 det(h) from the Pauli components.
 
     Broadcasts over arrays; eta = 4 (dx^2 + dy^2 + dz^2) is independent of
     the identity component.  Zeros of eta are the spectral degeneracies.
@@ -222,35 +289,6 @@ def weyl_dispersion(p: ModelParams, kx, ky):
 # ---------------------------------------------------------------------------
 # real space
 
-def _hop_list(p: ModelParams):
-    """All hops as (sublattice_row, sublattice_col, dx, dy, amplitude).
-
-    The matrix element H[row, col] is the coefficient of row_dag * col in
-    the second-quantized Hamiltonian; (dx, dy) is the cell displacement of
-    the column site relative to the row site.
-    """
-    t, t1 = p.t, p.t1
-    ax = -t * np.exp(-1j * p.gamma) * np.exp(-p.gx)   # A <- B along +-x
-    bx = -t * np.exp(1j * p.gamma) * np.exp(p.gx)     # B <- A along +-x
-    ay = -t * np.exp(1j * p.gamma) * np.exp(-p.gy)    # A <- B along +-y
-    by = -t * np.exp(-1j * p.gamma) * np.exp(p.gy)    # B <- A along +-y
-    hops = [
-        (0, 1, 1, 0, ax), (0, 1, -1, 0, ax),
-        (0, 1, 0, 1, ay), (0, 1, 0, -1, ay),
-        (1, 0, 1, 0, bx), (1, 0, -1, 0, bx),
-        (1, 0, 0, 1, by), (1, 0, 0, -1, by),
-        # diagonal hops, alternating signs as printed
-        (0, 0, 1, 1, -t1 * np.exp(-p.ga)), (0, 0, 1, -1, t1 * np.exp(-p.ga)),
-        (0, 0, -1, -1, -t1 * np.exp(p.ga)), (0, 0, -1, 1, t1 * np.exp(p.ga)),
-        (1, 1, 1, 1, t1 * np.exp(-p.gb)), (1, 1, 1, -1, -t1 * np.exp(-p.gb)),
-        (1, 1, -1, -1, t1 * np.exp(p.gb)), (1, 1, -1, 1, -t1 * np.exp(p.gb)),
-        # staggered potential and optional imaginary onsite terms
-        (0, 0, 0, 0, p.v + 1j * p.mu_a),
-        (1, 1, 0, 0, -p.v - 1j * p.mu_b),
-    ]
-    return [(r, c, dx, dy, amp) for r, c, dx, dy, amp in hops if amp != 0.0]
-
-
 def real_space_hamiltonian(p: ModelParams, nx: int, ny: int,
                            bc=("periodic", "periodic"),
                            transverse_k: float | None = None) -> np.ndarray:
@@ -269,8 +307,9 @@ def real_space_hamiltonian(p: ModelParams, nx: int, ny: int,
     periodic wrap or open truncation per axis.  Basis ordering is
     sublattice-major, then x, then y: index = s*nx*ny + iy*nx + ix.
     A hop whose column cell is displaced by ``delta`` along a Bloch axis
-    carries the phase exp(-1j * k * delta); this matches the printed Bloch
-    matrix (verified by the Fourier-consistency tests).
+    carries the phase exp(-1j * k * delta), the convention under which
+    :func:`bloch_hamiltonian` sums the same hops (checked against each
+    other by the Fourier-consistency tests).
     """
     for axis in bc:
         if axis not in ("periodic", "open"):
@@ -384,62 +423,19 @@ class Expansion:
 
 
 def _taylor_d(p: ModelParams, center, order):
-    """Analytic Taylor coefficients of the d-components about ``center``.
+    """Exact Taylor coefficients of the d-components about ``center``.
 
-    Each component is a short product of sin/cos/cosh/sinh factors in kx
-    and ky, so the derivatives are evaluated exactly.
+    The px^i py^j coefficient of a hop is amp (-i dx)^i (-i dy)^j
+    exp(-i k.delta) / (i! j!) at k = center, for any order.  Monomials
+    whose four components are all exactly zero are left out.
     """
     cx, cy = center
-
-    def derivs(f, z0, n):
-        # returns [f, f', f'', ...](z0) for f in the closed trig/hyp family
-        if f == "sin":
-            seq = [np.sin, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)]
-        elif f == "cos":
-            seq = [np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z), np.sin]
-        else:
-            raise ValueError(f)
-        return [seq[k % 4](z0) for k in range(n + 1)]
-
-    sin_cy = derivs("sin", cy, order)
-    cos_cx = derivs("cos", cx, order)
-    cos_cy = derivs("cos", cy, order)
-    sin_cx = derivs("sin", cx, order)
-    # cosh(a + i k) derivatives in k: d/dk -> i sinh, then -cosh, ...
-    half_sum = (p.ga + p.gb) / 2.0
-    ch = [np.cosh(half_sum + 1j * cx), 1j * np.sinh(half_sum + 1j * cx),
-          -np.cosh(half_sum + 1j * cx), -1j * np.sinh(half_sum + 1j * cx)]
-
-    fact = [1.0, 1.0, 2.0, 6.0]
     coeffs = {}
-
-    def put(i, j, comp, value):
-        if value == 0:
-            return
-        key = (i, j)
-        cur = coeffs.setdefault(key, [0j, 0j, 0j, 0j])
-        cur[comp] += value
-
-    pref_d0 = -4j * p.t1 * np.sinh((p.ga - p.gb) / 2.0)
-    chsum = np.cosh(p.ga) + np.cosh(p.gb)
-    shsum = np.sinh(p.ga) + np.sinh(p.gb)
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            w = 1.0 / (fact[i] * fact[j])
-            # d0 = pref * sin(ky) * cosh(halfsum + i kx)
-            put(i, j, 0, pref_d0 * sin_cy[j] * ch[i] * w)
-            # dx, dy from the nearest-neighbor cosines
-            put(i, j, 1, (-2 * p.t * (cos_cx[i] * (j == 0) * np.cosh(p.gx + 1j * p.gamma)
-                                      + cos_cy[j] * (i == 0) * np.cosh(p.gy - 1j * p.gamma))) * w)
-            put(i, j, 2, (2j * p.t * (cos_cx[i] * (j == 0) * np.sinh(p.gx + 1j * p.gamma)
-                                      + cos_cy[j] * (i == 0) * np.sinh(p.gy - 1j * p.gamma))) * w)
-            # dz = 2 t1 sin(ky) [sin(kx) chsum - i cos(kx) shsum] + v
-            put(i, j, 3, (2 * p.t1 * sin_cy[j] * (sin_cx[i] * chsum
-                                                  - 1j * cos_cx[i] * shsum)) * w)
-    put(0, 0, 3, p.v)
-    # drop numerically empty monomials for a tidy coefficient table
-    coeffs = {k: tuple(vals) for k, vals in coeffs.items()
-              if max(abs(complex(x)) for x in vals) > 0.0}
+            comps = tuple(complex(c) for c in _hop_sum(_hop_tables(p)[1], cx, cy, i, j))
+            if any(comps):
+                coeffs[(i, j)] = comps
     return coeffs
 
 

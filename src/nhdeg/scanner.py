@@ -133,8 +133,7 @@ def scan_discriminant(p: ModelParams, nx: int = 501, ny: int = 501) -> ScalarFie
     if nx < 16 or ny < 16:
         raise ValueError("need nx, ny >= 16")
     kx, ky = _grid(nx, ny)
-    KX, KY = np.meshgrid(kx, ky)
-    values = discriminant_function(p, KX, KY)
+    values = discriminant_function(p, kx[None, :], ky[:, None])
     return ScalarField(kx=kx, ky=ky, values=np.asarray(values, dtype=complex))
 
 
@@ -490,8 +489,7 @@ def fermi_curves(p: ModelParams, nx: int = 301, ny: int = 301,
     if band not in ("+", "-"):
         raise ValueError(f"band must be '+' or '-', got {band!r}")
     kx, ky = _grid(nx, ny)
-    KX, KY = np.meshgrid(kx, ky)
-    plus, minus = dispersion(p, KX, KY)
+    plus, minus = dispersion(p, kx[None, :], ky[:, None])
     eps = plus if band == "+" else minus
     comp = eps.real if which == "re" else eps.imag
     fld = ScalarField(kx=kx, ky=ky, values=comp.astype(complex),

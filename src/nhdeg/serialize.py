@@ -115,11 +115,11 @@ def write_band_csv(path, bands, dump_vectors: bool = False) -> None:
         fh.write("k,index,re_e,im_e,edge_flag\n")
         for band in bands:
             for n, ev in enumerate(band.eigenvalues):
-                fh.write(f"{band.transverse_k!r},{n},{ev.real!r},{ev.imag!r},"
-                         f"{band.edge_flags[n]}\n")
+                fh.write(f"{band.transverse_k!r},{n},{float(ev.real)!r},"
+                         f"{float(ev.imag)!r},{band.edge_flags[n]}\n")
         if dump_vectors:
             fh.write("# eigenvector dump\n")
             for band in bands:
                 for n in range(band.eigenvectors.shape[1]):
-                    comps = ";".join(repr(abs(c)) for c in band.eigenvectors[:, n])
+                    comps = ";".join(repr(float(abs(c))) for c in band.eigenvectors[:, n])
                     fh.write(f"# |psi| k={band.transverse_k!r} index={n}: {comps}\n")

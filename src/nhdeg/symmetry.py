@@ -151,33 +151,25 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
     pp = apply_parameter_map(spec, p)
     kxs = -np.pi + 2 * np.pi * np.arange(nx) / nx
     kys = -np.pi + 2 * np.pi * np.arange(ny) / ny
-    worst, worst_k = -1.0, (0.0, 0.0)
-    best, best_k = np.inf, (0.0, 0.0)
-    scale = 0.0
-    worst_r = worst_l = 0.0
-    for kx in kxs:
-        for ky in kys:
-            mx, my = _momentum_action(spec, p, kx, ky)
-            h_a = bloch_hamiltonian(p, mx, my)
-            h_t = bloch_hamiltonian(pp, -kx, -ky)
-            r_r = np.linalg.norm(h_a @ W - W @ h_t.T)
-            r_l = np.linalg.norm(W @ np.conj(h_t) - h_a.conj().T @ W)
-            scale = max(scale, np.linalg.norm(h_a))
-            r = max(r_r, r_l)
-            if r > worst:
-                worst, worst_k = r, (float(kx), float(ky))
-                worst_r, worst_l = r_r, r_l
-            if r < best:
-                best, best_k = r, (float(kx), float(ky))
-    scale = max(scale, 1.0)
+    # kx on the first axis, so first-occurrence argmax/argmin break ties
+    # the way a kx-outer scan over the grid does
+    kx, ky = kxs[:, None], kys[None, :]
+    h_a = bloch_hamiltonian(p, *_momentum_action(spec, p, kx, ky))
+    h_t = bloch_hamiltonian(pp, -kx, -ky)
+    r_r = np.linalg.norm(h_a @ W - W @ h_t.swapaxes(-1, -2), axis=(-2, -1))
+    r_l = np.linalg.norm(W @ h_t.conj() - h_a.conj().swapaxes(-1, -2) @ W, axis=(-2, -1))
+    r = np.maximum(r_r, r_l)
+    worst = np.unravel_index(np.argmax(r), r.shape)
+    best = np.unravel_index(np.argmin(r), r.shape)
+    scale = max(float(np.linalg.norm(h_a, axis=(-2, -1)).max()), 1.0)
     return SymmetryReport(
         name=spec.name,
-        right_residual=float(worst_r / scale),
-        left_residual=float(worst_l / scale),
-        grid_max_k=worst_k,
-        grid_min_residual=float(best / scale),
-        grid_min_k=best_k,
-        holds=bool(worst / scale < HOLD_TOL),
+        right_residual=float(r_r[worst] / scale),
+        left_residual=float(r_l[worst] / scale),
+        grid_max_k=(float(kxs[worst[0]]), float(kys[worst[1]])),
+        grid_min_residual=float(r[best] / scale),
+        grid_min_k=(float(kxs[best[0]]), float(kys[best[1]])),
+        holds=bool(r[worst] / scale < HOLD_TOL),
     )
 
 

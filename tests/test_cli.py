@@ -1,6 +1,7 @@
 """Tests for the versioned output files and the command-line front end."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -163,6 +164,9 @@ def test_cli_phases(tmp_path, gapped_file):
     labels = {ln.split(",")[-1] for ln in lines[2:]}
     assert labels <= {"band_insulator", "topological_insulator",
                       "boundary_gapless"}
+    # numeric fields are plain float reprs, not numpy scalar reprs
+    for ln in lines[2:]:
+        assert all(math.isfinite(float(f)) for f in ln.split(",")[:4])
 
 
 def test_cli_phases_t1_zero_single_phase(tmp_path):
@@ -181,7 +185,7 @@ def test_cli_ribbon(tmp_path, regime3_file):
     out = tmp_path / "rib"
     rc = main(["ribbon", "--params", str(regime3_file), "--axis", "x",
                "--n-cells", "16", "--k-samples", "6", "--out", str(out),
-               "--threads", "2", "--dump-vectors"])
+               "--dump-vectors"])
     assert rc == 0
     doc = json.loads((out / "localization.json").read_text())
     assert doc["format"] == FORMAT
@@ -189,6 +193,15 @@ def test_cli_ribbon(tmp_path, regime3_file):
     lines = (out / "bands.csv").read_text().splitlines()
     assert lines[1] == "k,index,re_e,im_e,edge_flag"
     assert len(lines) > 2 + 6 * 32  # band rows plus the eigenvector dump
+    # numeric fields are plain float reprs, not numpy scalar reprs
+    for ln in lines[2:2 + 6 * 32]:
+        k, index, re_e, im_e, _ = ln.split(",")
+        assert int(index) in range(32)
+        assert all(math.isfinite(float(f)) for f in (k, re_e, im_e))
+    dump = [ln for ln in lines if ln.startswith("# |psi|")]
+    assert len(dump) == 6 * 32
+    for ln in dump:
+        assert all(math.isfinite(float(f)) for f in ln.split(": ", 1)[1].split(";"))
 
 
 def test_cli_determinism(tmp_path, regime1_file):

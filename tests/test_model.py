@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from nhdeg.linalg import match_eigenvalue_multisets
 from nhdeg.model import (ModelParams, Momentum, X1_POINTS, X2_POINTS,
-                         bloch_hamiltonian, d_vector, discriminant_function,
-                         dispersion, linear_expansion, load_params,
-                         phase_boundaries, phase_classify, quadratic_expansion,
-                         real_space_hamiltonian, save_params, weyl_dispersion)
+                         _d_components, bloch_hamiltonian, d_vector,
+                         discriminant_function, dispersion, linear_expansion,
+                         load_params, phase_boundaries, phase_classify,
+                         quadratic_expansion, real_space_hamiltonian,
+                         save_params, weyl_dispersion)
 
 
 def random_params(rng, hermitian=False):
@@ -26,6 +27,60 @@ def random_params(rng, hermitian=False):
 
 # ---------------------------------------------------------------------------
 # Bloch matrix
+
+def closed_form_bloch(p, kx, ky):
+    """The printed Bloch entries, kept here only as an oracle."""
+    t, t1 = p.t, p.t1
+    h11 = (-t1 * (-np.exp(-p.ga - 1j * (kx - ky)) - np.exp(p.ga + 1j * (kx - ky))
+                  + np.exp(-p.ga - 1j * (kx + ky)) + np.exp(p.ga + 1j * (kx + ky)))
+           + 1j * p.mu_a + p.v)
+    h22 = (t1 * (-np.exp(-p.gb - 1j * (kx - ky)) - np.exp(p.gb + 1j * (kx - ky))
+                 + np.exp(-p.gb - 1j * (kx + ky)) + np.exp(p.gb + 1j * (kx + ky)))
+           - 1j * p.mu_b - p.v)
+    h12 = -2 * t * np.exp(-p.gx - 1j * p.gamma) * np.cos(kx) \
+        - 2 * t * np.exp(-p.gy + 1j * p.gamma) * np.cos(ky)
+    h21 = -2 * t * np.exp(p.gx + 1j * p.gamma) * np.cos(kx) \
+        - 2 * t * np.exp(p.gy - 1j * p.gamma) * np.cos(ky)
+    h11, h12, h21, h22 = np.broadcast_arrays(h11, h12, h21, h22)
+    return np.stack([np.stack([h11, h12], -1), np.stack([h21, h22], -1)], -2)
+
+
+def closed_form_pauli(p, kx, ky):
+    """The printed Pauli components (d0, dx, dy, dz), an oracle as above."""
+    t, t1 = p.t, p.t1
+    half_diff = (p.ga - p.gb) / 2.0
+    half_sum = (p.ga + p.gb) / 2.0
+    d0 = (-4j * t1 * np.sin(ky) * np.sinh(half_diff)
+          * np.cosh(half_sum + 1j * kx)) + 0.5j * (p.mu_a - p.mu_b)
+    dx = (-2 * t * np.cos(kx) * np.cosh(p.gx + 1j * p.gamma)
+          - 2 * t * np.cos(ky) * np.cosh(p.gy - 1j * p.gamma))
+    dy = (2j * t * np.cos(kx) * np.sinh(p.gx + 1j * p.gamma)
+          + 2j * t * np.cos(ky) * np.sinh(p.gy - 1j * p.gamma))
+    dz = (2 * t1 * np.sin(ky) * (np.sin(kx) * (np.cosh(p.ga) + np.cosh(p.gb))
+                                 - 1j * np.cos(kx) * (np.sinh(p.ga) + np.sinh(p.gb)))
+          + p.v) + 0.5j * (p.mu_a + p.mu_b)
+    return d0, dx, dy, dz
+
+
+def test_hop_built_bloch_matches_closed_form():
+    rng = np.random.default_rng(7)
+    kx = rng.uniform(-np.pi, np.pi, 9)[None, :]
+    ky = rng.uniform(-np.pi, np.pi, 5)[:, None]
+    for _ in range(20):
+        p = random_params(rng)
+        h = bloch_hamiltonian(p, kx, ky)
+        assert h.shape == (5, 9, 2, 2)
+        np.testing.assert_allclose(h, closed_form_bloch(p, kx, ky), rtol=0, atol=1e-12)
+        for got, want in zip(_d_components(p, kx, ky), closed_form_pauli(p, kx, ky)):
+            np.testing.assert_allclose(got, np.broadcast_to(want, (5, 9)),
+                                       rtol=0, atol=1e-12)
+        qx, qy = rng.uniform(-np.pi, np.pi, 2)
+        h = bloch_hamiltonian(p, qx, qy)
+        assert h.shape == (2, 2)
+        np.testing.assert_allclose(h, closed_form_bloch(p, qx, qy), rtol=0, atol=1e-12)
+        for got, want in zip(_d_components(p, qx, qy), closed_form_pauli(p, qx, qy)):
+            assert abs(got - want) < 1e-12
+
 
 def test_bloch_zero_at_x_points_nearest_neighbor_regime():
     # cos(kx) = cos(ky) = 0 kills every entry regardless of gamma, gx, gy

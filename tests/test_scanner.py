@@ -85,6 +85,23 @@ def test_regime1_robustness_random_draws():
         assert len(res.defective) == 0
 
 
+def test_regime3_robustness_random_draws():
+    # the non-defective touchings sit exactly at M (gamma = 0) or Gamma
+    # (gamma = pi/2) for every t1, ga, gb; 1e-6 is the criterion-4 bound
+    rng = np.random.default_rng(103)
+    for _ in range(10):
+        gamma = float(rng.choice([0.0, np.pi / 2]))
+        p = ModelParams(t1=rng.uniform(0.2, 1.0), ga=rng.uniform(-1, 1),
+                        gb=rng.uniform(-1, 1), gamma=gamma)
+        targets = ([(np.pi, 0.0), (0.0, np.pi)] if gamma == 0.0
+                   else [(0.0, 0.0), (np.pi, np.pi)])
+        res = find_degeneracies(p, 201, 201)
+        assert len(res.unresolved) == 0
+        assert len(res.nondefective) == 2
+        for q in res.nondefective:
+            assert nearest_target(q, targets) < 1e-6
+
+
 def test_regime3_gamma0_m_points_and_defective():
     p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.0)
     res = find_degeneracies(p, 301, 301)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from nhdeg.model import ModelParams
-from nhdeg.symmetry import (BUILTIN_NAMES, apply_parameter_map, builtin_spec,
-                            check_bloch, check_realspace, pair_product_phase,
+from nhdeg.model import ModelParams, bloch_hamiltonian
+from nhdeg.symmetry import (BUILTIN_NAMES, _momentum_action, _spinor_part,
+                            apply_parameter_map, builtin_spec, check_bloch,
+                            check_realspace, pair_product_phase,
                             symmetry_survey)
 
 REGIME1 = ModelParams(gamma=0.5, gx=0.5, gy=0.3)
@@ -67,6 +68,47 @@ def test_upsilon_broken_by_diagonal_hopping_or_potential():
                            12, 12).holds
     assert not check_bloch(REGIME1.replace(v=0.5), builtin_spec("upsilon"),
                            12, 12).holds
+
+
+def scalar_loop_check_bloch(p, spec, nx, ny):
+    """Reference: the relations evaluated one k-point at a time, kx outer."""
+    W = _spinor_part(spec, p)
+    pp = apply_parameter_map(spec, p)
+    worst, worst_k, best, best_k = -1.0, None, np.inf, None
+    scale, worst_r, worst_l = 0.0, 0.0, 0.0
+    for kx in -np.pi + 2 * np.pi * np.arange(nx) / nx:
+        for ky in -np.pi + 2 * np.pi * np.arange(ny) / ny:
+            h_a = bloch_hamiltonian(p, *_momentum_action(spec, p, kx, ky))
+            h_t = bloch_hamiltonian(pp, -kx, -ky)
+            r_r = np.linalg.norm(h_a @ W - W @ h_t.T)
+            r_l = np.linalg.norm(W @ np.conj(h_t) - h_a.conj().T @ W)
+            scale = max(scale, np.linalg.norm(h_a))
+            r = max(r_r, r_l)
+            if r > worst:
+                worst, worst_k, worst_r, worst_l = r, (kx, ky), r_r, r_l
+            if r < best:
+                best, best_k = r, (kx, ky)
+    scale = max(scale, 1.0)
+    return worst_r / scale, worst_l / scale, worst_k, best / scale, best_k
+
+
+@pytest.mark.parametrize("params,name", [
+    (REGIME1.replace(t1=0.3), "upsilon"),
+    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_prime"),
+])
+def test_check_bloch_matches_scalar_loop(params, name):
+    # broken specs, so the residuals are O(1).  Their extrema come in exactly
+    # tied pairs, so the reported momenta also check the kx-outer tie order;
+    # these cases are ones where both evaluations round the residuals alike
+    spec = builtin_spec(name)
+    rep = check_bloch(params, spec, 12, 10)
+    right, left, worst_k, best, best_k = scalar_loop_check_bloch(params, spec, 12, 10)
+    assert not rep.holds
+    assert rep.grid_max_k == worst_k
+    assert rep.grid_min_k == best_k
+    assert rep.right_residual == pytest.approx(right, rel=0, abs=1e-12)
+    assert rep.left_residual == pytest.approx(left, rel=0, abs=1e-12)
+    assert rep.grid_min_residual == pytest.approx(best, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("params,name", [
