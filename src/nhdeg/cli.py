@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .model import (ModelParams, load_params, phase_boundaries, phase_classify)
 from .ribbon import localization, obc_defective_check, ribbon_spectrum, skin_metric
-from .scanner import find_degeneracies, scan_discriminant
+from .scanner import find_degeneracies, scan_discriminant  # noqa: F401 (perfbench reads it)
 from .serialize import (json_document, write_band_csv, write_json,
                         write_vector_field_csv)
 from .symmetry import symmetry_survey
@@ -74,9 +74,8 @@ def cmd_theorem(args) -> int:
 def cmd_scan(args) -> int:
     p = _params_from(args)
     tol = args.tol if args.tol is not None else 1e-13
-    field = scan_discriminant(p, args.nx, args.ny)
     result = find_degeneracies(p, args.nx, args.ny, tol=tol, fold=args.fold_bz)
-    write_vector_field_csv(_outpath(args, "field.csv"), field)
+    write_vector_field_csv(_outpath(args, "field.csv"), result.field)
     payload = {
         "tol": tol,
         "nx": args.nx,

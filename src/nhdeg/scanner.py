@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .linalg import coalescence
 from .model import (ModelParams, _d_components, bloch_hamiltonian,
@@ -86,11 +87,12 @@ class DegeneracyPoint:
 
 @dataclass
 class ScanResult:
-    """Outcome of a degeneracy scan."""
+    """Outcome of a degeneracy scan; ``field`` is the sampled eta grid."""
 
     points: list
     n_candidates: int = 0
     n_dropped: int = 0
+    field: ScalarField | None = None
 
     @property
     def nondefective(self):
@@ -109,11 +111,13 @@ class ScanResult:
 class ZeroCurve:
     """Zero-level contours of a sampled real field.
 
-    ``polylines`` is a list of (m, 2) arrays of (kx, ky) vertices.  When the
-    field vanishes identically on the grid, ``everywhere_zero`` is set and
-    no polylines are extracted.  ``point_zeros`` lists isolated grid minima
-    below the detection threshold that no contour passes through (even-order
-    zeros such as non-defective touchings).
+    ``polylines`` is a list of (m, 2) arrays of (kx, ky) vertices; segments
+    join exactly when they end on the same grid edge, so curves that touch
+    at a grid point stay apart, and a closed loop repeats its first vertex.
+    When the field vanishes identically on the grid, ``everywhere_zero`` is
+    set and no polylines are extracted.  ``point_zeros`` lists isolated grid
+    minima below the detection threshold that no contour passes through
+    (even-order zeros such as non-defective touchings).
     """
 
     which: str
@@ -268,7 +272,6 @@ def _polish_dvec(p: ModelParams, k0, tol, max_iter: int = 25, fd_step: float = 1
     return best_k, best_eta, it + 1
 
 
-
 def _wrap(k):
     return (k + np.pi) % _TWO_PI - np.pi
 
@@ -311,7 +314,7 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     for iy, ix in minima:
         seeds.append((fld.kx[ix], fld.ky[iy]))
     if not seeds:
-        return ScanResult(points=[], n_candidates=0, n_dropped=0)
+        return ScanResult(points=[], n_candidates=0, n_dropped=0, field=fld)
     seeds = np.asarray(seeds)
 
     refined, absf, iters, converged = _newton_refine(p, seeds, tol)
@@ -319,8 +322,6 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     refined = _wrap(refined[converged])
     absf = absf[converged]
     iters = iters[converged]
-    if len(refined) == 0:
-        return ScanResult(points=[], n_candidates=len(seeds), n_dropped=n_dropped)
 
     keep = _dedup(refined, dedup_radius)
     points = []
@@ -341,7 +342,8 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     if fold:
         points = fold_points(points, dedup_radius)
     points.sort(key=lambda q: (q.kx, q.ky))
-    return ScanResult(points=points, n_candidates=len(seeds), n_dropped=n_dropped)
+    return ScanResult(points=points, n_candidates=len(seeds), n_dropped=n_dropped,
+                      field=fld)
 
 
 def fold_points(points, radius: float = 1e-4):
@@ -366,75 +368,78 @@ _SEGMENT_TABLE = {
     11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
     5: [(3, 0), (1, 2)], 10: [(0, 1), (2, 3)],
 }
+# the table as a (16, 2, 2) array; only the saddles 5 and 10 use the second row
+_SEGMENTS = np.array([(_SEGMENT_TABLE.get(c, [(0, 0)]) * 2)[:2] for c in range(16)])
+# corner b of a cell sits at (ix + _CORNER_DX[b], iy + _CORNER_DY[b]); edge e
+# joins corners e and (e + 1) % 4 and runs right or up from corner _EDGE_BASE[e]
+_CORNER_DX, _CORNER_DY = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
+_EDGE_BASE = np.array([0, 1, 3, 0])
 
 
 def _marching_squares(kx, ky, values, zero_tol):
-    """Zero-level segments with linear edge interpolation (non-wrapping)."""
+    """Zero-level segments with linear edge interpolation (non-wrapping).
+
+    Returns the (m, 2, 2) segment endpoints in row-major cell order and the
+    (m, 2) ids of the grid edges they lie on; only the cells whose corners
+    straddle ``zero_tol`` are interpolated.
+    """
     ny, nx = values.shape
-    segments = []
-    v = values
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            corners = (v[iy, ix], v[iy, ix + 1], v[iy + 1, ix + 1], v[iy + 1, ix])
-            xs = (kx[ix], kx[ix + 1], kx[ix + 1], kx[ix])
-            ys = (ky[iy], ky[iy], ky[iy + 1], ky[iy + 1])
-            code = 0
-            for b, c in enumerate(corners):
-                if c > zero_tol:
-                    code |= 1 << b
-            if code in (0, 15):
-                continue
-            if code in (5, 10):
-                # saddle: disambiguate with the cell-center average
-                center = sum(corners) / 4.0
-                if (code == 5) == (center > zero_tol):
-                    code = {5: 5, 10: 10}[code]
-                else:
-                    code = {5: 10, 10: 5}[code]
-
-            def edge_point(e):
-                a, b_ = e, (e + 1) % 4
-                va, vb = corners[a], corners[b_]
-                if va == vb:
-                    frac = 0.5
-                else:
-                    frac = va / (va - vb)
-                frac = min(max(frac, 0.0), 1.0)
-                return (xs[a] + frac * (xs[b_] - xs[a]),
-                        ys[a] + frac * (ys[b_] - ys[a]))
-
-            for e1, e2 in _SEGMENT_TABLE[code]:
-                segments.append((edge_point(e1), edge_point(e2)))
-    return segments
+    above = (values > zero_tol).astype(np.uint8)
+    code = (above[:-1, :-1] | above[:-1, 1:] << 1
+            | above[1:, 1:] << 2 | above[1:, :-1] << 3)
+    iy, ix = np.nonzero((code != 0) & (code != 15))
+    code = code[iy, ix]
+    c = values[iy[:, None] + _CORNER_DY, ix[:, None] + _CORNER_DX]
+    # saddle: disambiguate with the cell-center average
+    center = (c[:, 0] + c[:, 1] + c[:, 2] + c[:, 3]) / 4.0
+    saddle = (code == 5) | (code == 10)
+    code = np.where(saddle, np.where(center > zero_tol, 5, 10), code)
+    cell = np.repeat(np.arange(len(code)), 1 + saddle)
+    second = (np.diff(cell, prepend=-1) == 0).astype(int)  # a saddle's second segment
+    e = _SEGMENTS[code[cell], second]
+    a, b = e, (e + 1) % 4
+    va, vb = c[cell[:, None], a], c[cell[:, None], b]
+    same = va == vb
+    frac = np.where(same, 0.5, va / np.where(same, 1.0, va - vb))
+    frac = np.minimum(np.maximum(frac, 0.0), 1.0)
+    jy, jx = iy[cell][:, None], ix[cell][:, None]
+    xa, xb = kx[jx + _CORNER_DX[a]], kx[jx + _CORNER_DX[b]]
+    ya, yb = ky[jy + _CORNER_DY[a]], ky[jy + _CORNER_DY[b]]
+    points = np.stack([xa + frac * (xb - xa), ya + frac * (yb - ya)], axis=-1)
+    base = _EDGE_BASE[e]
+    edges = 2 * ((jy + _CORNER_DY[base]) * nx + jx + _CORNER_DX[base]) + e % 2
+    return points, edges
 
 
-def _stitch(segments, tol):
-    """Chain segments that share endpoints into polylines."""
-    segs = [list(s) for s in segments]
+def _stitch(points, edges):
+    """Chain segments that end on the same grid edge into polylines.
+
+    A grid edge carries at most two segment ends, one from each cell beside
+    it, so one sort of the edge ids pairs every end with its mate.  Open
+    chains are walked from a free end, closed loops from their first segment.
+    """
+    ends = edges.ravel()  # end j of segment s is 2 * s + j
+    order = np.argsort(ends, kind="stable")
+    pair = ends[order[1:]] == ends[order[:-1]]
+    mate = np.full(len(ends), -1)
+    mate[order[1:][pair]] = order[:-1][pair]
+    mate[order[:-1][pair]] = order[1:][pair]
+    starts = np.flatnonzero(mate < 0).tolist() + list(range(0, len(ends), 2))
+    mate = mate.tolist()
+    seen = [False] * len(points)
+    vertices = points.reshape(-1, 2)
     polylines = []
-    while segs:
-        chain = segs.pop()
-        grown = True
-        while grown:
-            grown = False
-            for i, s in enumerate(segs):
-                for end, attach in ((chain[-1], "tail"), (chain[0], "head")):
-                    hit = None
-                    if np.hypot(s[0][0] - end[0], s[0][1] - end[1]) < tol:
-                        hit = s[1]
-                    elif np.hypot(s[1][0] - end[0], s[1][1] - end[1]) < tol:
-                        hit = s[0]
-                    if hit is not None:
-                        if attach == "tail":
-                            chain.append(hit)
-                        else:
-                            chain.insert(0, hit)
-                        segs.pop(i)
-                        grown = True
-                        break
-                if grown:
-                    break
-        polylines.append(np.asarray(chain))
+    for start in starts:
+        if seen[start // 2]:
+            continue
+        chain, end = [start], start
+        while end >= 0 and not seen[end // 2]:
+            seen[end // 2] = True
+            chain.append(end ^ 1)
+            end = mate[end ^ 1]
+        if end >= 0:  # closed loop: its last end shares the first's edge
+            chain[-1] = start
+        polylines.append(vertices[chain])
     return polylines
 
 
@@ -445,35 +450,30 @@ def zero_curves(fld: ScalarField, which: str, zero_tol: float = 0.0) -> ZeroCurv
     (or 'field' for an already real field).  Identically vanishing fields
     are reported through ``everywhere_zero`` instead of polylines.
     """
-    if which == "Re_eta":
+    if which in ("Re_eta", "field"):
         comp = fld.values.real
     elif which == "Im_eta":
         comp = fld.values.imag
-    elif which == "field":
-        comp = fld.values.real
     else:
         raise ValueError(f"unknown component {which!r}")
     scale = float(np.abs(comp).max())
     if scale < 1e-12:
         return ZeroCurve(which=which, polylines=[], everywhere_zero=True)
-    # append the wrapped first column and row so seam-crossing contours close
-    kx_ext = np.append(fld.kx, np.pi)
-    ky_ext = np.append(fld.ky, np.pi)
+    # append the wrapped first column and row so the cells that straddle the
+    # seam are traced too; a curve that crosses the seam stays split there
+    kx, ky = np.append(fld.kx, np.pi), np.append(fld.ky, np.pi)
     comp_ext = np.pad(comp, ((0, 1), (0, 1)), mode="wrap")
-    segments = _marching_squares(kx_ext, ky_ext, comp_ext, zero_tol)
+    polylines = _stitch(*_marching_squares(kx, ky, comp_ext, zero_tol))
     dk = max(fld.kx[1] - fld.kx[0], fld.ky[1] - fld.ky[0])
-    polylines = _stitch(segments, tol=1e-9)
-    # isolated even-order zeros leave no sign change; report grid minima
-    absval = np.abs(comp)
-    minima = _local_minima(absval, threshold=1e-6 * max(1.0, scale))
-    pts = []
-    for iy, ix in minima:
-        pt = (float(fld.kx[ix]), float(fld.ky[iy]))
-        near_curve = any(np.hypot(line[:, 0] - pt[0], line[:, 1] - pt[1]).min() < 2 * dk
-                         for line in polylines if len(line))
-        if not near_curve:
-            pts.append(pt)
-    return ZeroCurve(which=which, polylines=polylines, point_zeros=pts)
+    # isolated even-order zeros leave no sign change; report the grid minima
+    # at least two cells away from every traced vertex
+    iy, ix = _local_minima(np.abs(comp), threshold=1e-6 * max(1.0, scale)).T
+    pts = np.column_stack([fld.kx[ix], fld.ky[iy]])
+    if polylines:
+        dist, _ = cKDTree(np.vstack(polylines)).query(pts)
+        pts = pts[dist >= 2 * dk]
+    return ZeroCurve(which=which, polylines=polylines,
+                     point_zeros=[tuple(q) for q in pts.tolist()])
 
 
 def fermi_curves(p: ModelParams, nx: int = 301, ny: int = 301,

@@ -145,7 +145,8 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
         W conj(h_pi(p)(-k)) = h_p(a(k))^dag W,
 
     for every k.  The report carries the worst and best grid residuals
-    relative to the mean Bloch-matrix norm.
+    relative to the largest norm of h_p(a(k)) on the grid, or to 1 when
+    that norm is smaller.
     """
     W = _spinor_part(spec, p)
     pp = apply_parameter_map(spec, p)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from nhdeg.model import ModelParams, discriminant_function, dispersion
-from nhdeg.scanner import (ScalarField, fermi_curves, find_degeneracies,
-                           fold_points, scan_discriminant, zero_curves)
+from nhdeg.model import (ModelParams, discriminant_function, dispersion,
+                         phase_boundaries)
+from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
+                           fermi_curves, find_degeneracies, fold_points,
+                           scan_discriminant, zero_curves)
 
 X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
              (-np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2)]
@@ -73,6 +76,8 @@ def test_regime1_four_nondefective_points():
         assert nearest_target(q, X_TARGETS) < 1e-6
         assert q.eta_residual < 1e-10
         assert abs(q.lambda0) < 1e-10
+    # the scan keeps the field it sampled
+    assert np.array_equal(res.field.values, scan_discriminant(p, 301, 301).values)
 
 
 def test_regime1_robustness_random_draws():
@@ -132,6 +137,7 @@ def test_gapped_regime_has_no_degeneracies():
     p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
     res = find_degeneracies(p, 201, 201)
     assert res.points == []
+    assert res.field.values.shape == (201, 201)
 
 
 def test_regime2_boundary_recovers_x2_points():
@@ -263,3 +269,224 @@ def test_fermi_curves_validation():
         fermi_curves(ModelParams(), 64, 64, "abs", "+")
     with pytest.raises(ValueError):
         fermi_curves(ModelParams(), 64, 64, "re", "0")
+
+
+# ---------------------------------------------------------------------------
+# contour layer against the per-cell reference
+#
+# ref_marching_squares and ref_stitch are the earlier per-cell loop and the
+# distance-based stitch, kept verbatim as oracles: segments must match them
+# bit for bit, and on fields without exact zeros so must the polylines.
+
+_REF_SEGMENT_TABLE = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+    5: [(3, 0), (1, 2)], 10: [(0, 1), (2, 3)],
+}
+
+
+def ref_marching_squares(kx, ky, values, zero_tol):
+    ny, nx = values.shape
+    segments = []
+    v = values
+    for iy in range(ny - 1):
+        for ix in range(nx - 1):
+            corners = (v[iy, ix], v[iy, ix + 1], v[iy + 1, ix + 1], v[iy + 1, ix])
+            xs = (kx[ix], kx[ix + 1], kx[ix + 1], kx[ix])
+            ys = (ky[iy], ky[iy], ky[iy + 1], ky[iy + 1])
+            code = 0
+            for b, c in enumerate(corners):
+                if c > zero_tol:
+                    code |= 1 << b
+            if code in (0, 15):
+                continue
+            if code in (5, 10):
+                center = sum(corners) / 4.0
+                if (code == 5) == (center > zero_tol):
+                    code = {5: 5, 10: 10}[code]
+                else:
+                    code = {5: 10, 10: 5}[code]
+
+            def edge_point(e):
+                a, b_ = e, (e + 1) % 4
+                va, vb = corners[a], corners[b_]
+                if va == vb:
+                    frac = 0.5
+                else:
+                    frac = va / (va - vb)
+                frac = min(max(frac, 0.0), 1.0)
+                return (xs[a] + frac * (xs[b_] - xs[a]),
+                        ys[a] + frac * (ys[b_] - ys[a]))
+
+            for e1, e2 in _REF_SEGMENT_TABLE[code]:
+                segments.append((edge_point(e1), edge_point(e2)))
+    return segments
+
+
+def ref_stitch(segments, tol):
+    segs = [list(s) for s in segments]
+    polylines = []
+    while segs:
+        chain = segs.pop()
+        grown = True
+        while grown:
+            grown = False
+            for i, s in enumerate(segs):
+                for end, attach in ((chain[-1], "tail"), (chain[0], "head")):
+                    hit = None
+                    if np.hypot(s[0][0] - end[0], s[0][1] - end[1]) < tol:
+                        hit = s[1]
+                    elif np.hypot(s[1][0] - end[0], s[1][1] - end[1]) < tol:
+                        hit = s[0]
+                    if hit is not None:
+                        if attach == "tail":
+                            chain.append(hit)
+                        else:
+                            chain.insert(0, hit)
+                        segs.pop(i)
+                        grown = True
+                        break
+                if grown:
+                    break
+        polylines.append(np.asarray(chain))
+    return polylines
+
+
+def ref_point_zeros(fld, comp, vertices):
+    """The earlier point-zero rule: grid minima >= 2 cells from every vertex."""
+    scale = float(np.abs(comp).max())
+    dk = max(fld.kx[1] - fld.kx[0], fld.ky[1] - fld.ky[0])
+    pts = []
+    for iy, ix in _local_minima(np.abs(comp), threshold=1e-6 * max(1.0, scale)):
+        pt = (float(fld.kx[ix]), float(fld.ky[iy]))
+        if not (len(vertices) and np.hypot(vertices[:, 0] - pt[0],
+                                           vertices[:, 1] - pt[1]).min() < 2 * dk):
+            pts.append(pt)
+    return pts
+
+
+def padded(fld, comp):
+    """The seam-padded grid that zero_curves traces."""
+    return (np.append(fld.kx, np.pi), np.append(fld.ky, np.pi),
+            np.pad(comp, ((0, 1), (0, 1)), mode="wrap"))
+
+
+def random_fields():
+    rng = np.random.default_rng(7)
+    k = {n: np.linspace(-np.pi, np.pi, n, endpoint=False) for n in (17, 40, 61)}
+    for n in (17, 40, 61):
+        for rounded in (False, True):
+            values = 3 * rng.standard_normal((n, n))
+            if rounded:  # exact zeros, ties and saddles
+                values = np.round(values)
+            yield ScalarField(kx=k[n], ky=k[n], values=values.astype(complex))
+
+
+def zero_free_fields():
+    n = 121
+    q = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
+    regimes = [ModelParams(gamma=0.5, gx=0.5, gy=0.3),
+               q.replace(v=phase_boundaries(q)[1]),
+               ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.0)]
+    for p in regimes:
+        fld = scan_discriminant(p, n, n)
+        yield ScalarField(fld.kx, fld.ky, fld.values.real.astype(complex))
+        yield ScalarField(fld.kx, fld.ky, fld.values.imag.astype(complex))
+    k = np.linspace(-np.pi, np.pi, n, endpoint=False)
+    values = np.cos(k)[None, :] + np.cos(k)[:, None] + 0.3
+    yield ScalarField(kx=k, ky=k, values=values.astype(complex))
+
+
+def stacked(lines):
+    return np.vstack(lines) if lines else np.zeros((0, 2))
+
+
+def same_polyline(a, b, tol=1e-12):
+    """Equal vertex by vertex up to reversal and, for closed loops, rotation."""
+    if a.shape != b.shape:
+        return False
+    closed = np.abs(a[0] - a[-1]).max() <= tol
+    for c in (b, b[::-1]):
+        if not closed:
+            if np.abs(a - c).max() <= tol:
+                return True
+            continue
+        core = c[:-1]
+        for i in np.flatnonzero(np.abs(core - a[0]).max(axis=1) <= tol):
+            turned = np.roll(core, -i, axis=0)
+            if np.abs(a - np.vstack([turned, turned[:1]])).max() <= tol:
+                return True
+    return False
+
+
+def test_marching_squares_matches_per_cell_reference():
+    for fld in random_fields():
+        kx, ky, comp = padded(fld, fld.values.real)
+        for zero_tol in (0.0, 1.0):
+            ref = np.array(ref_marching_squares(kx, ky, comp, zero_tol),
+                           dtype=float).reshape(-1, 2, 2)
+            points, edges = _marching_squares(kx, ky, comp, zero_tol)
+            assert points.shape == ref.shape
+            assert points.tobytes() == ref.tobytes()
+            # a grid edge holds at most two ends, and they coincide
+            order = np.argsort(edges.ravel(), kind="stable")
+            ids, ends = edges.ravel()[order], points.reshape(-1, 2)[order]
+            assert np.all(ids[2:] != ids[:-2])
+            shared = np.flatnonzero(ids[1:] == ids[:-1])
+            assert np.abs(ends[shared] - ends[shared + 1]).max(initial=0) < 1e-12
+
+
+def test_zero_curves_match_reference_on_zero_free_fields():
+    for fld in zero_free_fields():
+        comp = fld.values.real
+        assert np.all(comp != 0)
+        ref = ref_stitch(ref_marching_squares(*padded(fld, comp), 0.0), 1e-9)
+        curve = zero_curves(fld, "field")
+        assert len(curve.polylines) == len(ref)
+        unmatched = list(curve.polylines)
+        for line in ref:
+            hit = next(i for i, b in enumerate(unmatched) if same_polyline(line, b))
+            unmatched.pop(hit)
+        assert curve.point_zeros == ref_point_zeros(fld, comp, stacked(ref))
+
+
+def test_zero_curves_vertices_and_point_zeros_match_reference():
+    # the reference polylines hold exactly the reference segment ends, so the
+    # vertex sets are compared against those ends on every field
+    for fld in [*random_fields(), *zero_free_fields()]:
+        comp = fld.values.real
+        ends = np.array(ref_marching_squares(*padded(fld, comp), 0.0),
+                        dtype=float).reshape(-1, 2)
+        curve = zero_curves(fld, "field")
+        vertices = stacked(curve.polylines)
+        assert len(vertices) > 0 or len(ends) == 0
+        if len(ends):
+            assert cKDTree(ends).query(vertices)[0].max() <= 1e-12
+            assert cKDTree(vertices).query(ends)[0].max() <= 1e-12
+        assert curve.point_zeros == ref_point_zeros(fld, comp, ends)
+
+
+def test_zero_curves_plateau_partition():
+    # at gamma = 0 both bands vanish on whole regions, so many grid samples
+    # are exactly zero; polylines join only through shared grid edges
+    p = ModelParams(gamma=0.0, gx=0.5, gy=0.3)
+    n = 51
+    cell = 2 * np.pi / n
+    for which in ("re", "im"):
+        curve = fermi_curves(p, n, n, which, "+")
+        assert curve.polylines
+        for line in curve.polylines:
+            steps = np.hypot(*np.diff(line, axis=0).T)
+            assert steps.sum() > 0
+            assert steps.max() <= np.sqrt(2) * cell * (1 + 1e-9)
+    # one contour that stays clear of the seam closes into a single loop
+    n = 121
+    k = np.linspace(-np.pi, np.pi, n, endpoint=False)
+    values = np.cos(k)[None, :] + np.cos(k)[:, None] - 0.3
+    assert np.all(values != 0)
+    curve = zero_curves(ScalarField(kx=k, ky=k, values=values.astype(complex)), "field")
+    assert len(curve.polylines) == 1
+    loop = curve.polylines[0]
+    assert len(loop) > 100
+    assert np.array_equal(loop[0], loop[-1])
