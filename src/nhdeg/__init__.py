@@ -9,7 +9,7 @@ phenomenology of a 2D nonreciprocal tight-binding model.
 __version__ = "0.1.0"
 
 from .linalg import (CoalescenceReport, Eigensystem, coalescence, discriminant,
-                     eigensystem2, eigensystem_n, match_eigenvalue_multisets)
+                     eigensystem2, eigensystem_n)
 from .model import (DVector, Expansion, ModelParams, Momentum, bloch_hamiltonian,
                     d_vector, discriminant_function, dispersion, linear_expansion,
                     load_params, phase_boundaries, phase_classify,
@@ -22,9 +22,8 @@ from .ribbon import (LocalizationReport, RibbonBand, ZeroModePairReport,
 from .scanner import (DegeneracyPoint, ScalarField, ScanResult, ZeroCurve,
                       fermi_curves, find_degeneracies, fold_points,
                       scan_discriminant, zero_curves)
-from .serialize import (FORMAT, export_vector_field_rows,
-                        read_vector_field_csv, write_band_csv, write_json,
-                        write_vector_field_csv)
+from .serialize import (FORMAT, read_vector_field_csv, write_band_csv,
+                        write_json, write_vector_field_csv)
 from .symmetry import (CompositeSymmetrySpec, SymmetryReport, builtin_spec,
                        check_bloch, check_realspace, pair_product_phase,
                        symmetry_survey)

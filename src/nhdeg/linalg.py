@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "Eigensystem",
@@ -25,12 +24,14 @@ __all__ = [
     "eigensystem2",
     "eigensystem_n",
     "coalescence",
-    "match_eigenvalue_multisets",
     "DEFECT_OVERLAP_TOL",
+    "BIORTH_OVERLAP_FLOOR",
 ]
 
 # a pair counts as defective when the unit right vectors overlap above this
 DEFECT_OVERLAP_TOL = 1e-8
+# ... and in eigensystem_n when a unit left/right pair overlaps below this
+BIORTH_OVERLAP_FLOOR = 1e-6
 
 MAX_DENSE_DIM = 2048
 
@@ -40,9 +41,9 @@ class Eigensystem:
     """Eigenvalues with biorthogonally normalized right and left vectors.
 
     ``right[:, n]`` and ``left[:, n]`` belong to ``eigenvalues[n]``;
-    ``residual`` bounds max_n |H r_n - lam_n r_n| and the adjoint analogue;
-    ``defective`` marks spectra where biorthogonal normalization failed
-    because eigenvectors coalesced.
+    ``residual`` bounds max_n |H r_n - lam_n r_n| and, unless the system is
+    ``defective``, the adjoint analogue; ``defective`` marks spectra whose
+    eigenvectors coalesced, so that their left vectors are unreliable.
     """
 
     eigenvalues: np.ndarray
@@ -147,15 +148,19 @@ def eigensystem2(h, tol: float = 1e-9) -> Eigensystem:
 def eigensystem_n(H, tol: float = 1e-9, want_left: bool = True) -> Eigensystem:
     """Dense eigensystem of a general complex matrix with left/right pairing.
 
-    Right vectors come from the dense solver on H, left vectors from the
-    adjoint problem; they are paired by minimizing |lam - conj(lam')| with an
-    optimal assignment, sorted by (Re, Im), and biorthogonally normalized
-    (degenerate clusters are renormalized through their Gram matrix).
+    Right vectors come from one dense solve on H, sorted by (Re, Im).  The
+    left vectors are the columns of R^{-dag}: they come paired and
+    biorthonormal, <l_m|r_n> = delta_mn, degenerate clusters included.  The
+    system is flagged ``defective`` when some unit pair overlaps by less
+    than ``BIORTH_OVERLAP_FLOOR`` (the overlap is the inverse condition
+    number of the eigenvalue; a Jordan pair drives it to about 1e-8) or R
+    is singular; the left vectors of a defective system are unreliable, so
+    only its right residual is checked.
 
     With ``want_left=False`` only the right problem is solved and ``left``
     is None; useful for strongly non-normal matrices (wide skin-effect
-    ribbons) whose left/right eigenvalue pairing is pseudospectrally
-    ill-posed while the right pairs stay backward stable.
+    ribbons) whose left vectors are ill-conditioned while the right pairs
+    stay backward stable.
 
     Raises if the verified residual exceeds ``tol * norm(H)``.
     """
@@ -166,69 +171,38 @@ def eigensystem_n(H, tol: float = 1e-9, want_left: bool = True) -> Eigensystem:
     if tol <= 0:
         raise ValueError("tol must be positive")
     lam, R = np.linalg.eig(H)
-    if not want_left:
-        order = np.lexsort((lam.imag, lam.real))
-        lam, R = lam[order], R[:, order]
-        scale = max(1.0, float(np.linalg.norm(H)))
-        res = (np.linalg.norm(H @ R - R * lam[None, :], axis=0)
-               / np.linalg.norm(R, axis=0)).max()
-        if res > tol * scale:
-            raise RuntimeError(
-                f"eigensolver residual {res:.3e} exceeds "
-                f"{tol:.1e} * |H| = {tol * scale:.3e}")
-        return Eigensystem(lam, R, None, residual=float(res))
-    mu, L = np.linalg.eig(H.conj().T)
-    cost = np.abs(lam[:, None] - np.conj(mu)[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    L = L[:, cols[np.argsort(rows)]]
-
     order = np.lexsort((lam.imag, lam.real))
-    lam, R, L = lam[order], R[:, order], L[:, order]
-
+    lam, R = lam[order], R[:, order]
     scale = max(1.0, float(np.linalg.norm(H)))
-    defective = False
-    # cluster equal eigenvalues, then solve the small Gram system per cluster
-    cluster_radius = 1e-7 * scale
-    start = 0
-    while start < dim:
-        stop = start + 1
-        while stop < dim and abs(lam[stop] - lam[start]) < cluster_radius:
-            stop += 1
-        sel = slice(start, stop)
-        G = L[:, sel].conj().T @ R[:, sel]
-        svals = np.linalg.svd(G, compute_uv=False)
-        if svals[-1] < 1e-10 * max(1.0, svals[0]):
-            defective = True
-        else:
-            L[:, sel] = L[:, sel] @ np.linalg.inv(G).conj().T
-        start = stop
-
     # residuals per unit vector: biorthogonal scaling must not affect them
     norm_r = np.linalg.norm(R, axis=0)
-    norm_l = np.linalg.norm(L, axis=0)
-    res_r = (np.linalg.norm(H @ R - R * lam[None, :], axis=0) / norm_r).max()
-    res_l = (np.linalg.norm(H.conj().T @ L - L * np.conj(lam)[None, :], axis=0)
-             / norm_l).max()
-    residual = float(max(res_r, res_l))
+    residual = (np.linalg.norm(H @ R - R * lam[None, :], axis=0) / norm_r).max()
+    L, defective = None, False
+    if want_left:
+        try:
+            L = np.linalg.inv(R).conj().T
+        except np.linalg.LinAlgError:  # exactly coalesced right vectors
+            L, defective = np.linalg.pinv(R).conj().T, True
+        norm_l = np.hypot.reduce(np.abs(L), axis=0)  # R^{-1} can near overflow
+        overlap = np.abs(np.sum(L.conj() * R, axis=0)) / (norm_l * norm_r)
+        defective = defective or bool(overlap.min() < BIORTH_OVERLAP_FLOOR)
+        if not defective:
+            residual = max(residual, (np.linalg.norm(
+                H.conj().T @ L - L * np.conj(lam)[None, :], axis=0) / norm_l).max())
     if residual > tol * scale:
         raise RuntimeError(
             f"eigensolver residual {residual:.3e} exceeds {tol:.1e} * |H| = {tol * scale:.3e}")
-    return Eigensystem(lam, R, L, residual=residual, defective=defective)
+    return Eigensystem(lam, R, L, residual=float(residual), defective=defective)
 
 
 def coalescence(h_or_pair) -> CoalescenceReport:
     """Coalescence diagnostics of a 2x2 matrix or an explicit vector pair.
 
-    Anything with shape (2, 2) that is not a tuple counts as a matrix and
-    its two right eigenvectors are compared; an explicit pair is passed as
-    a (v1, v2) tuple (or two vectors of length != 2).
+    A tuple is a (v1, v2) vector pair; anything else is a 2x2 matrix, whose
+    two right eigenvectors are compared.
     """
-    is_pair = isinstance(h_or_pair, tuple) and len(h_or_pair) == 2
-    if not is_pair and isinstance(h_or_pair, (list,)) and len(h_or_pair) == 2:
-        is_pair = np.asarray(h_or_pair[0]).size != 2
-    if is_pair:
-        v1 = np.asarray(h_or_pair[0], dtype=complex)
-        v2 = np.asarray(h_or_pair[1], dtype=complex)
+    if isinstance(h_or_pair, tuple):
+        v1, v2 = (np.asarray(v, dtype=complex) for v in h_or_pair)
         n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
         if n1 == 0.0 or n2 == 0.0:
             raise ValueError("zero vector in coalescence pair")
@@ -248,14 +222,3 @@ def coalescence(h_or_pair) -> CoalescenceReport:
         l = _right_vector_2x2(hd, np.conj(es.eigenvalues[n]))
         bn = min(bn, abs(np.vdot(l, r)))
     return CoalescenceReport(overlap=float(min(overlap, 1.0)), biorth_norm=float(bn))
-
-
-def match_eigenvalue_multisets(a, b) -> float:
-    """Max pairing distance between two equally sized eigenvalue multisets."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"multiset sizes differ: {a.shape} vs {b.shape}")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())

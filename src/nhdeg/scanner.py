@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .linalg import coalescence
 from .model import (ModelParams, _d_components, bloch_hamiltonian,
@@ -468,12 +467,36 @@ def zero_curves(fld: ScalarField, which: str, zero_tol: float = 0.0) -> ZeroCurv
     # isolated even-order zeros leave no sign change; report the grid minima
     # at least two cells away from every traced vertex
     iy, ix = _local_minima(np.abs(comp), threshold=1e-6 * max(1.0, scale)).T
-    pts = np.column_stack([fld.kx[ix], fld.ky[iy]])
     if polylines:
-        dist, _ = cKDTree(np.vstack(polylines)).query(pts)
-        pts = pts[dist >= 2 * dk]
+        keep = ~_near_vertex_nodes(fld.kx, fld.ky, np.vstack(polylines), 2 * dk)[iy, ix]
+        iy, ix = iy[keep], ix[keep]
+    pts = np.column_stack([fld.kx[ix], fld.ky[iy]])
     return ZeroCurve(which=which, polylines=polylines,
                      point_zeros=[tuple(q) for q in pts.tolist()])
+
+
+def _near_vertex_nodes(kx, ky, vertices, radius, chunk: int = 4096):
+    """Mask of the grid nodes closer than ``radius`` (planar) to a vertex.
+
+    Each vertex is binned to its grid cell and only the nodes within
+    ceil(radius / dk) + 1 cells of it are measured, so the cost is linear
+    in the number of vertices; ``chunk`` vertices are measured at a time.
+    """
+    dkx, dky = kx[1] - kx[0], ky[1] - ky[0]
+    wx, wy = int(np.ceil(radius / dkx)) + 1, int(np.ceil(radius / dky)) + 1
+    ox, oy = (o.ravel() for o in np.meshgrid(np.arange(-wx, wx + 1),
+                                             np.arange(-wy, wy + 1)))
+    mask = np.zeros((len(ky), len(kx)), dtype=bool)
+    for start in range(0, len(vertices), chunk):
+        vx, vy = vertices[start:start + chunk, :1], vertices[start:start + chunk, 1:]
+        jx = np.floor((vx - kx[0]) / dkx).astype(int) + ox
+        jy = np.floor((vy - ky[0]) / dky).astype(int) + oy
+        inside = (jx >= 0) & (jx < len(kx)) & (jy >= 0) & (jy < len(ky))
+        jx, jy = np.where(inside, jx, 0), np.where(inside, jy, 0)
+        dx, dy = vx - kx[jx], vy - ky[jy]
+        near = inside & (np.sqrt(dx * dx + dy * dy) < radius)
+        mask[jy[near], jx[near]] = True
+    return mask
 
 
 def fermi_curves(p: ModelParams, nx: int = 301, ny: int = 301,

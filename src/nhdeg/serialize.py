@@ -22,7 +22,6 @@ __all__ = [
     "write_vector_field_csv",
     "read_vector_field_csv",
     "write_band_csv",
-    "export_vector_field_rows",
 ]
 
 
@@ -60,24 +59,17 @@ def write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def export_vector_field_rows(field) -> list:
-    """Row-major (kx, ky, Re eta, Im eta) rows of a sampled field."""
-    rows = []
-    for iy in range(field.ny):
-        for ix in range(field.nx):
-            val = field.values[iy, ix]
-            rows.append((float(field.kx[ix]), float(field.ky[iy]),
-                         float(val.real), float(val.imag)))
-    return rows
-
-
 def write_vector_field_csv(path, field) -> None:
     """CSV export of a discriminant field, row-major with ky outer."""
+    kx = [repr(x) for x in field.kx.tolist()]
     with open(path, "w") as fh:
         fh.write(f"# format={FORMAT}\n")
         fh.write("kx,ky,re_eta,im_eta\n")
-        for kx, ky, re, im in export_vector_field_rows(field):
-            fh.write(f"{kx!r},{ky!r},{re!r},{im!r}\n")
+        for ky, re_row, im_row in zip(field.ky.tolist(), field.values.real.tolist(),
+                                      field.values.imag.tolist()):
+            y = repr(ky)
+            fh.write("".join([f"{x},{y},{re!r},{im!r}\n"
+                              for x, re, im in zip(kx, re_row, im_row)]))
 
 
 def read_vector_field_csv(path):

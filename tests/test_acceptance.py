@@ -12,11 +12,11 @@ O(|p|^2) one, so the slope-3 band rejects both.
 import time
 
 import numpy as np
+from _oracles import match_eigenvalue_multisets
 from nhdeg.model import (ModelParams, X1_POINTS, X2_POINTS, bloch_hamiltonian,
                          dispersion, linear_expansion, phase_boundaries,
                          quadratic_expansion, real_space_hamiltonian,
                          save_params)
-from nhdeg.linalg import match_eigenvalue_multisets
 from nhdeg.ribbon import (bulk_gap_interval, in_gap_indices, obc_defective_check,
                           ribbon_spectrum, skin_metric)
 from nhdeg.scanner import find_degeneracies, scan_discriminant, zero_curves

@@ -2,10 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nhdeg
 from nhdeg.cli import main
 from nhdeg.model import ModelParams, save_params
 from nhdeg.scanner import ScalarField, scan_discriminant
@@ -73,6 +77,22 @@ def test_vector_field_supports_flow_reversal_detection(tmp_path):
     row = back.values[32].real  # a cut at fixed ky crossing the curves
     signs = np.sign(row[np.abs(row) > 1e-12])
     assert np.any(signs[:-1] != signs[1:])
+
+
+def test_vector_field_csv_matches_row_writer(tmp_path):
+    # the earlier one-row-at-a-time writer, kept as a byte oracle
+    rng = np.random.default_rng(3)
+    kx, ky = np.linspace(-np.pi, np.pi, 7, endpoint=False), np.sort(rng.uniform(-3, 3, 5))
+    values = (rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-300, 300, (5, 7))
+              + 1j * rng.standard_normal((5, 7)))
+    values[0, :3] = [0.0, -0.0, complex(-0.0, -0.0)]
+    fld = ScalarField(kx=kx, ky=ky, values=values)
+    path = tmp_path / "field.csv"
+    write_vector_field_csv(path, fld)
+    expected = f"# format={FORMAT}\nkx,ky,re_eta,im_eta\n" + "".join(
+        f"{float(kx[ix])!r},{float(ky[iy])!r},{float(values[iy, ix].real)!r},"
+        f"{float(values[iy, ix].imag)!r}\n" for iy in range(5) for ix in range(7))
+    assert path.read_text() == expected
 
 
 def test_vector_field_rejects_bad_header(tmp_path):
@@ -219,3 +239,13 @@ def test_cli_determinism(tmp_path, regime1_file):
         assert rc == 0
     assert (out_a / "theorem.json").read_bytes() == \
         (out_b / "theorem.json").read_bytes()
+
+
+def test_runtime_imports_no_scipy():
+    # the package needs numpy only; scipy is a test extra
+    src = str(Path(nhdeg.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nhdeg.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

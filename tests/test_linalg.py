@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import match_eigenvalue_multisets
 from nhdeg.linalg import (CoalescenceReport, coalescence, discriminant,
-                          eigensystem2, eigensystem_n,
-                          match_eigenvalue_multisets)
+                          eigensystem2, eigensystem_n)
 
 
 def random_complex(rng, shape):
@@ -162,6 +162,41 @@ def test_eigensystem_n_sorted_deterministically():
     assert list(order) == list(range(6))
 
 
+def test_eigensystem_n_left_is_inverse_of_right_on_degenerate_clusters():
+    # dims 2-8, random spectra and exactly degenerate non-defective clusters
+    # (H = S diag(lam) S^-1 with lam repeated): L^H R = 1 and not defective
+    rng = np.random.default_rng(29)
+    for trial in range(140):
+        dim = 2 + trial % 7
+        lam = random_complex(rng, dim)
+        repeats = trial // 7 % 4  # 0: simple spectrum, else a cluster
+        lam[:min(dim, repeats + 1)] = lam[0]
+        S = random_complex(rng, (dim, dim))
+        H = S @ np.diag(lam) @ np.linalg.inv(S)
+        es = eigensystem_n(H)
+        assert not es.defective
+        assert np.linalg.norm(es.left.conj().T @ es.right - np.eye(dim)) <= 1e-9
+        assert es.residual <= 1e-9 * max(1.0, np.linalg.norm(H))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_eigensystem_n_flags_jordan_blocks(dim):
+    # a 2x2 Jordan pair and a full Jordan block, each in a random basis, then
+    # bare (exactly triangular) Jordan blocks, whose R is singular or nearly
+    # so (R^-1 near overflow, no warning allowed)
+    rng = np.random.default_rng(dim)
+    lam = random_complex(rng, dim)
+    pair = np.diag(lam)
+    pair[1, 1], pair[0, 1] = lam[0], 1.0
+    full = lam[0] * np.eye(dim) + np.eye(dim, k=1)
+    S = random_complex(rng, (dim, dim))
+    for J in (pair, full):
+        assert eigensystem_n(S @ J @ np.linalg.inv(S)).defective
+    for J in (full, np.eye(dim, k=1)):
+        assert eigensystem_n(J).defective
+
+
 def test_eigensystem_n_dimension_cap():
     with pytest.raises(ValueError):
         eigensystem_n(np.zeros((3000, 3000)))
@@ -187,6 +222,12 @@ def test_coalescence_explicit_pair_and_zero_vector():
     assert rep.overlap == pytest.approx(0.6)
     with pytest.raises(ValueError):
         coalescence((np.zeros(3), np.ones(3)))
+
+
+def test_coalescence_list_is_a_matrix():
+    # only a tuple is a vector pair; a list of two 3-vectors is a 2x3 matrix
+    with pytest.raises(ValueError):
+        coalescence([[1.0, 0, 0], [0.6, 0.8, 0]])
 
 
 def test_coalescence_rises_to_one_across_exceptional_curve():

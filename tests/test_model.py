@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhdeg.linalg import match_eigenvalue_multisets
+from _oracles import match_eigenvalue_multisets
 from nhdeg.model import (ModelParams, Momentum, X1_POINTS, X2_POINTS,
                          _d_components, bloch_hamiltonian, d_vector,
                          discriminant_function, dispersion, linear_expansion,

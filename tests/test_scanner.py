@@ -6,9 +6,9 @@ from scipy.spatial import cKDTree
 
 from nhdeg.model import (ModelParams, discriminant_function, dispersion,
                          phase_boundaries)
-from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
-                           fermi_curves, find_degeneracies, fold_points,
-                           scan_discriminant, zero_curves)
+from nhdeg.scanner import (ScalarField, _grid, _local_minima, _marching_squares,
+                           _near_vertex_nodes, fermi_curves, find_degeneracies,
+                           fold_points, scan_discriminant, zero_curves)
 
 X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
              (-np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2)]
@@ -490,3 +490,52 @@ def test_zero_curves_plateau_partition():
     loop = curve.polylines[0]
     assert len(loop) > 100
     assert np.array_equal(loop[0], loop[-1])
+
+
+def ckdtree_point_zeros(fld, comp, polylines):
+    """The earlier cKDTree point-zero filter: planar nearest-vertex distance.
+
+    Returns the point zeros and the number of grid minima it filtered.
+    """
+    dk = max(fld.kx[1] - fld.kx[0], fld.ky[1] - fld.ky[0])
+    scale = float(np.abs(comp).max())
+    iy, ix = _local_minima(np.abs(comp), threshold=1e-6 * max(1.0, scale)).T
+    pts = np.column_stack([fld.kx[ix], fld.ky[iy]])
+    if polylines:
+        dist, _ = cKDTree(np.vstack(polylines)).query(pts)
+        pts = pts[dist >= 2 * dk]
+    return [tuple(q) for q in pts.tolist()], len(iy)
+
+
+def point_zero_fields():
+    rng = np.random.default_rng(41)
+    for ny, nx in ((17, 17), (40, 61), (61, 40), (64, 64)):
+        kx, ky = _grid(nx, ny)
+        smooth = (np.cos(kx)[None, :] + 0.7 * np.cos(2 * ky)[:, None]
+                  + 0.2 * rng.standard_normal((ny, nx)))
+        noise = 3 * rng.standard_normal((ny, nx))
+        # exact zeros, ties, plateaus next to contours, isolated even zeros
+        for values in (noise, np.round(noise), np.round(2 * smooth),
+                       np.maximum(smooth - 0.3, 0.0), np.round(smooth) ** 2):
+            yield ScalarField(kx=kx, ky=ky, values=values.astype(complex))
+    # the gamma = 0 band plateaus: tens of thousands of point-zero candidates
+    kx, ky = _grid(201, 201)
+    plus, _ = dispersion(ModelParams(gamma=0.0, gx=0.5, gy=0.3), kx[None, :], ky[:, None])
+    yield ScalarField(kx=kx, ky=ky, values=plus.imag.astype(complex))
+
+
+def test_point_zero_grid_filter_matches_ckdtree():
+    kept_and_dropped = 0
+    for fld in point_zero_fields():
+        curve = zero_curves(fld, "field")
+        ref, n_minima = ckdtree_point_zeros(fld, fld.values.real, curve.polylines)
+        assert curve.point_zeros == ref
+        kept_and_dropped += 0 < len(ref) < n_minima
+    # the filter both keeps and drops minima on most fields with zeros,
+    # including the 201^2 plateau field (32 855 point zeros)
+    assert kept_and_dropped >= 8
+    assert len(curve.point_zeros) > 10000
+    # measuring the vertices a few at a time marks the same nodes
+    vertices, radius = np.vstack(curve.polylines), 2 * (fld.kx[1] - fld.kx[0])
+    assert np.array_equal(_near_vertex_nodes(fld.kx, fld.ky, vertices, radius, chunk=7),
+                          _near_vertex_nodes(fld.kx, fld.ky, vertices, radius))
