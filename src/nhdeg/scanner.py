@@ -475,27 +475,27 @@ def zero_curves(fld: ScalarField, which: str, zero_tol: float = 0.0) -> ZeroCurv
                      point_zeros=[tuple(q) for q in pts.tolist()])
 
 
-def _near_vertex_nodes(kx, ky, vertices, radius, chunk: int = 4096):
+def _near_vertex_nodes(kx, ky, vertices, radius):
     """Mask of the grid nodes closer than ``radius`` (planar) to a vertex.
 
     Each vertex is binned to its grid cell and only the nodes within
-    ceil(radius / dk) + 1 cells of it are measured, so the cost is linear
-    in the number of vertices; ``chunk`` vertices are measured at a time.
+    ceil(radius / dk) + 1 cells of it are measured, one window offset at a
+    time, so time and memory are linear in the number of vertices.
     """
     dkx, dky = kx[1] - kx[0], ky[1] - ky[0]
     wx, wy = int(np.ceil(radius / dkx)) + 1, int(np.ceil(radius / dky)) + 1
-    ox, oy = (o.ravel() for o in np.meshgrid(np.arange(-wx, wx + 1),
-                                             np.arange(-wy, wy + 1)))
+    vx, vy = vertices[:, 0], vertices[:, 1]
+    cx = np.floor((vx - kx[0]) / dkx).astype(int)
+    cy = np.floor((vy - ky[0]) / dky).astype(int)
     mask = np.zeros((len(ky), len(kx)), dtype=bool)
-    for start in range(0, len(vertices), chunk):
-        vx, vy = vertices[start:start + chunk, :1], vertices[start:start + chunk, 1:]
-        jx = np.floor((vx - kx[0]) / dkx).astype(int) + ox
-        jy = np.floor((vy - ky[0]) / dky).astype(int) + oy
-        inside = (jx >= 0) & (jx < len(kx)) & (jy >= 0) & (jy < len(ky))
-        jx, jy = np.where(inside, jx, 0), np.where(inside, jy, 0)
-        dx, dy = vx - kx[jx], vy - ky[jy]
-        near = inside & (np.sqrt(dx * dx + dy * dy) < radius)
-        mask[jy[near], jx[near]] = True
+    for oy in range(-wy, wy + 1):
+        for ox in range(-wx, wx + 1):
+            jx, jy = cx + ox, cy + oy
+            inside = (jx >= 0) & (jx < len(kx)) & (jy >= 0) & (jy < len(ky))
+            jx, jy = jx[inside], jy[inside]
+            dx, dy = vx[inside] - kx[jx], vy[inside] - ky[jy]
+            near = np.sqrt(dx * dx + dy * dy) < radius
+            mask[jy[near], jx[near]] = True
     return mask
 
 

@@ -103,6 +103,8 @@ def extract_degenerate_subspace(H, eigsys: Eigensystem | None = None,
     """
     H = np.asarray(H, dtype=complex)
     es = eigensystem_n(H) if eigsys is None else eigsys
+    if es.defective:
+        raise ValueError("eigensystem is defective: no biorthogonal basis")
     lam = es.eigenvalues
     scale = max(1.0, float(np.linalg.norm(H)))
     radius = cluster_tol * scale

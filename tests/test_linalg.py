@@ -197,6 +197,28 @@ def test_eigensystem_n_flags_jordan_blocks(dim):
         assert eigensystem_n(J).defective
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+def test_eigensystem_n_near_jordan_flags_before_raising(tol):
+    # near-Jordan pairs in random bases, dims 2-8, with unit left/right
+    # overlaps from about 1e-7 to 1e-3 (1e-5 among them): every solve
+    # returns, and the flag is set exactly below the floor 1e-14 / tol
+    rng = np.random.default_rng(17)
+    flagged = 0
+    for trial in range(210):
+        dim = 2 + trial % 7
+        target = 10.0 ** (-7 + 4 * (trial // 7) / 29)
+        J = np.diag(random_complex(rng, dim))
+        J[1, 1], J[0, 1], J[1, 0] = J[0, 0], 1.0, target**2
+        S = random_complex(rng, (dim, dim))
+        es = eigensystem_n(S @ J @ np.linalg.inv(S), tol=tol)
+        overlap = (np.abs(np.sum(es.left.conj() * es.right, axis=0))
+                   / np.linalg.norm(es.left, axis=0)
+                   / np.linalg.norm(es.right, axis=0)).min()
+        assert es.defective == (overlap < 1e-14 / tol)
+        flagged += es.defective
+    assert 0 < flagged < 210
+
+
 def test_eigensystem_n_dimension_cap():
     with pytest.raises(ValueError):
         eigensystem_n(np.zeros((3000, 3000)))

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from nhdeg.model import (ModelParams, discriminant_function, dispersion,
                          phase_boundaries)
 from nhdeg.scanner import (ScalarField, _grid, _local_minima, _marching_squares,
-                           _near_vertex_nodes, fermi_curves, find_degeneracies,
+                           fermi_curves, find_degeneracies,
                            fold_points, scan_discriminant, zero_curves)
 
 X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
@@ -535,7 +535,3 @@ def test_point_zero_grid_filter_matches_ckdtree():
     # including the 201^2 plateau field (32 855 point zeros)
     assert kept_and_dropped >= 8
     assert len(curve.point_zeros) > 10000
-    # measuring the vertices a few at a time marks the same nodes
-    vertices, radius = np.vstack(curve.polylines), 2 * (fld.kx[1] - fld.kx[0])
-    assert np.array_equal(_near_vertex_nodes(fld.kx, fld.ky, vertices, radius, chunk=7),
-                          _near_vertex_nodes(fld.kx, fld.ky, vertices, radius))

@@ -1,5 +1,7 @@
 """Tests for the anti-unitary operator-pair construction and its relations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,18 @@ def test_generator_eigenvalues_dim5():
     others = es.eigenvalues[np.abs(es.eigenvalues - lam0) >= 1e-7]
     gaps = np.abs(others[:, None] - others[None, :]) + np.eye(len(others))
     assert gaps.min() > 0.05
+
+
+def test_extract_rejects_an_eigensystem_flagged_defective():
+    # the subspace of a valid pair is found, but not once the eigensystem
+    # it is built from carries the defective flag
+    lam0 = -0.2 + 0.9j
+    H = random_degenerate_hamiltonian(5, 7, lam0)
+    es = eigensystem_n(H)
+    extract_degenerate_subspace(H, eigsys=es, lambda0=lam0)
+    with pytest.raises(ValueError, match="defective"):
+        extract_degenerate_subspace(H, eigsys=dataclasses.replace(es, defective=True),
+                                    lambda0=lam0)
 
 
 def test_generator_deterministic():
