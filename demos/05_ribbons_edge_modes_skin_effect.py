@@ -34,15 +34,15 @@ for axis in ("x", "y"):
 
 print("\nskin effect: mean bulk inverse participation ratio at k = 0")
 base = ModelParams(t1=0.75, gamma=0.5)
-skin = skin_metric(p_ti, "y", N, 0.0)
-herm = skin_metric(base, "y", N, 0.0)
+skin = skin_metric(p_ti, "y", ribbon_spectrum(p_ti, "y", N, k_values=[0.0])[0])
+herm = skin_metric(base, "y", ribbon_spectrum(base, "y", N, k_values=[0.0])[0])
 print(f"  nonreciprocal {skin:.4f} vs Hermitian {herm:.4f} "
       f"(ratio {skin / herm:.2f}; uniform baseline 1/{2 * N} = {1 / (2 * N):.4f})")
 
 print("\nzero-mode pair of the x-open ribbon at transverse momentum pi/2:")
 for gamma, label in ((0.0, "gamma = 0"), (0.5, "gamma = 0.5")):
     p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=gamma)
-    rep = obc_defective_check(p, "x", N, np.pi / 2)
+    rep = obc_defective_check(ribbon_spectrum(p, "x", N, k_values=[np.pi / 2])[0])
     print(f"  {label}: eigenvalues {rep.eigenvalues[0]:.2e}, "
           f"{rep.eigenvalues[1]:.2e}; eigenvector overlap {rep.overlap:.12f}")
 

@@ -143,11 +143,13 @@ def cmd_phases(args) -> int:
 
 def cmd_ribbon(args) -> int:
     p = _params_from(args)
-    k_values = -np.pi + 2 * np.pi * np.arange(args.k_samples) / args.k_samples
-    bands = ribbon_spectrum(p, args.axis, args.n_cells, k_values=k_values)
+    k_grid = -np.pi + 2 * np.pi * np.arange(args.k_samples) / args.k_samples
+    # the zero-mode and skin momenta cost no solve when on the grid modulo pi
+    *bands, zero_band, skin_band = ribbon_spectrum(
+        p, args.axis, args.n_cells, k_values=[*k_grid.tolist(), args.zero_k, 0.0])
     write_band_csv(_outpath(args, "bands.csv"), bands,
                    dump_vectors=args.dump_vectors)
-    zero = obc_defective_check(p, args.axis, args.n_cells, args.zero_k)
+    zero = obc_defective_check(zero_band)
     loc_payload = {
         "axis": args.axis,
         "n_cells": args.n_cells,
@@ -155,7 +157,7 @@ def cmd_ribbon(args) -> int:
         "zero_mode_overlap": zero.overlap,
         "zero_mode_absent": zero.absent,
         "zero_mode_eigenvalues": list(zero.eigenvalues),
-        "skin_metric_k0": skin_metric(p, args.axis, args.n_cells, 0.0),
+        "skin_metric_k0": skin_metric(p, args.axis, skin_band),
         "edge_mode_sides": {},
     }
     mid = min(bands, key=lambda b: abs(abs(b.transverse_k) - np.pi / 2))

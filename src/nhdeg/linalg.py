@@ -70,7 +70,7 @@ def _as_square(h, dim=None):
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if dim is not None and h.shape[0] != dim:
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.view(float))):
+    if not np.isfinite(h).all():  # both parts of every entry, any memory order
         raise ValueError("matrix entries must be finite")
     return h
 

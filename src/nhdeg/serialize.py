@@ -106,12 +106,18 @@ def write_band_csv(path, bands, dump_vectors: bool = False) -> None:
         fh.write(f"# format={FORMAT}\n")
         fh.write("k,index,re_e,im_e,edge_flag\n")
         for band in bands:
-            for n, ev in enumerate(band.eigenvalues):
-                fh.write(f"{band.transverse_k!r},{n},{float(ev.real)!r},"
-                         f"{float(ev.imag)!r},{band.edge_flags[n]}\n")
+            k = repr(band.transverse_k)
+            fh.write("".join([f"{k},{n},{re!r},{im!r},{flag}\n" for n, (re, im, flag)
+                              in enumerate(zip(band.eigenvalues.real.tolist(),
+                                               band.eigenvalues.imag.tolist(),
+                                               band.edge_flags))]))
         if dump_vectors:
             fh.write("# eigenvector dump\n")
             for band in bands:
-                for n in range(band.eigenvectors.shape[1]):
-                    comps = ";".join(repr(float(abs(c))) for c in band.eigenvectors[:, n])
-                    fh.write(f"# |psi| k={band.transverse_k!r} index={n}: {comps}\n")
+                k = repr(band.transverse_k)
+                # np.hypot rounds like the scalar abs(); np.abs of a complex
+                # array can differ from it in the last bit
+                vecs = band.eigenvectors
+                mags = np.hypot(vecs.real, vecs.imag).T.tolist()
+                fh.write("".join([f"# |psi| k={k} index={n}: {';'.join(map(repr, col))}\n"
+                                  for n, col in enumerate(mags)]))

@@ -267,12 +267,13 @@ def test_criterion_09_obc_phenomenology():
         sides[k] = {band.edge_flags[i] for i in ing}
         assert sides[k] == {"left", "right"}, sides
     # (b) skin effect against the Hermitian baseline
-    skin = skin_metric(p_ti, "y", 30, 0.0)
-    base = skin_metric(ModelParams(t1=0.75, gamma=0.5), "y", 30, 0.0)
+    skin = skin_metric(p_ti, "y", ribbon_spectrum(p_ti, "y", 30, k_values=[0.0])[0])
+    p_herm = ModelParams(t1=0.75, gamma=0.5)
+    base = skin_metric(p_herm, "y", ribbon_spectrum(p_herm, "y", 30, k_values=[0.0])[0])
     assert skin > 3 * base, (skin, base)
     # (c) coalesced zero-mode pair at gamma = 0
     p_g0 = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.0)
-    rep = obc_defective_check(p_g0, "x", 30, np.pi / 2)
+    rep = obc_defective_check(ribbon_spectrum(p_g0, "x", 30, k_values=[np.pi / 2])[0])
     assert not rep.absent
     assert rep.overlap > 1 - 1e-4, rep
     elapsed = time.time() - t0

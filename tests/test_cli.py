@@ -13,7 +13,8 @@ import nhdeg
 from nhdeg.cli import main
 from nhdeg.model import ModelParams, save_params
 from nhdeg.scanner import ScalarField, scan_discriminant
-from nhdeg.serialize import (FORMAT, read_vector_field_csv,
+from nhdeg.ribbon import RibbonBand
+from nhdeg.serialize import (FORMAT, read_vector_field_csv, write_band_csv,
                              write_vector_field_csv)
 
 
@@ -93,6 +94,37 @@ def test_vector_field_csv_matches_row_writer(tmp_path):
         f"{float(kx[ix])!r},{float(ky[iy])!r},{float(values[iy, ix].real)!r},"
         f"{float(values[iy, ix].imag)!r}\n" for iy in range(5) for ix in range(7))
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("dump_vectors", [False, True])
+def test_band_csv_matches_row_writer(tmp_path, dump_vectors):
+    # the earlier one-row-at-a-time writer, kept as a byte oracle
+    rng = np.random.default_rng(4)
+    bands = []
+    for k in (-np.pi, -0.0, 0.0, 1.2345678901234567):
+        lam = (rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)
+               + 1j * rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6))
+        lam[:3] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        vecs = (rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-300, 300, (6, 6))
+                + 1j * rng.standard_normal((6, 6)))
+        vecs[0, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+        flags = [["left", "right", "delocalized"][i % 3] for i in range(6)]
+        bands.append(RibbonBand(transverse_k=k, eigenvalues=lam, eigenvectors=vecs,
+                                edge_flags=flags))
+    path = tmp_path / "bands.csv"
+    write_band_csv(path, bands, dump_vectors=dump_vectors)
+    expected = [f"# format={FORMAT}\n", "k,index,re_e,im_e,edge_flag\n"]
+    for band in bands:
+        for n, ev in enumerate(band.eigenvalues):
+            expected.append(f"{band.transverse_k!r},{n},{float(ev.real)!r},"
+                            f"{float(ev.imag)!r},{band.edge_flags[n]}\n")
+    if dump_vectors:
+        expected.append("# eigenvector dump\n")
+        for band in bands:
+            for n in range(band.eigenvectors.shape[1]):
+                comps = ";".join(repr(float(abs(c))) for c in band.eigenvectors[:, n])
+                expected.append(f"# |psi| k={band.transverse_k!r} index={n}: {comps}\n")
+    assert path.read_text() == "".join(expected)
 
 
 def test_vector_field_rejects_bad_header(tmp_path):

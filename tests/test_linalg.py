@@ -271,3 +271,43 @@ def test_coalescence_rises_to_one_across_exceptional_curve():
     off = coalescence(bloch_hamiltonian(p, kx, ky_cross - 0.5)).overlap
     assert on > 0.999
     assert off < 0.9
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+def _layouts(h):
+    """The same matrix C-ordered, as a transposed view and Fortran-ordered."""
+    return [np.ascontiguousarray(h), np.ascontiguousarray(h.T).T, np.asfortranarray(h)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_non_contiguous_input_matches_c_ordered_copy(seed):
+    rng = np.random.default_rng(seed)
+    h2 = random_complex(rng, (2, 2))
+    c2, t2, f2 = _layouts(h2)
+    assert not t2.flags.c_contiguous and not f2.flags.c_contiguous
+    for other in (t2, f2):
+        assert discriminant(other) == discriminant(c2)
+        es, ref = eigensystem2(other), eigensystem2(c2)
+        assert np.array_equal(es.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(es.right, ref.right) and np.array_equal(es.left, ref.left)
+        assert coalescence(other) == coalescence(c2)
+    h = random_complex(rng, (6, 6))
+    c, t, f = _layouts(h)
+    ref = eigensystem_n(c)
+    for other in (t, f):
+        es = eigensystem_n(other)
+        assert np.allclose(es.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12)
+        assert np.allclose(np.abs(es.right), np.abs(ref.right), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("imag", [False, True])
+def test_non_finite_entries_raise(bad, imag):
+    h = np.eye(2, dtype=complex)
+    h[0, 1] = complex(0.0, bad) if imag else complex(bad, 0.0)
+    for layout in _layouts(h):
+        for fn in (discriminant, eigensystem2, eigensystem_n, coalescence):
+            with pytest.raises(ValueError, match="finite"):
+                fn(layout)

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from nhdeg.model import ModelParams
-from nhdeg.ribbon import (bulk_gap_interval, in_gap_indices, localization,
-                          obc_defective_check, ribbon_hamiltonian,
+import nhdeg.ribbon
+from nhdeg.model import ModelParams, _hop_list
+from nhdeg.ribbon import (_gauge_signs, _localize, bulk_gap_interval, in_gap_indices,
+                          localization, obc_defective_check, ribbon_hamiltonian,
                           ribbon_spectrum, skin_metric)
 
 # gapped topological regime with diagonal nonreciprocity switched on
 P_TI = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
 P_HERM = ModelParams(t1=0.75, gamma=0.5)
 P_G0 = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.0)
+
+
+def _band(p, axis, n, k):
+    return ribbon_spectrum(p, axis, n, k_values=[k])[0]
 
 
 def test_localization_uniform_vector():
@@ -112,42 +117,42 @@ def test_in_gap_count_zero_or_two_in_ti_phase():
 
 def test_obc_defective_pair_open_x():
     # the skin effect drags both zero modes to one edge where they coalesce
-    rep = obc_defective_check(P_G0, "x", 30, np.pi / 2)
+    rep = obc_defective_check(_band(P_G0, "x", 30, np.pi / 2))
     assert not rep.absent
     assert rep.overlap > 1 - 1e-6
     assert max(abs(e) for e in rep.eigenvalues) < 1e-6
 
 
 def test_obc_independent_pair_open_y():
-    rep = obc_defective_check(P_TI, "y", 30, np.pi / 2)
+    rep = obc_defective_check(_band(P_TI, "y", 30, np.pi / 2))
     assert not rep.absent
     assert rep.overlap < 0.5
 
 
 def test_obc_hermitian_orthogonal_pair():
-    rep = obc_defective_check(P_HERM, "y", 30, np.pi / 2)
+    rep = obc_defective_check(_band(P_HERM, "y", 30, np.pi / 2))
     assert rep.overlap < 0.1
 
 
 def test_obc_absent_when_nothing_near_zero():
-    rep = obc_defective_check(P_TI.replace(v=10.0), "y", 16, 0.0)
+    rep = obc_defective_check(_band(P_TI.replace(v=10.0), "y", 16, 0.0))
     assert rep.absent
 
 
 def test_skin_metric_above_baseline():
-    skin = skin_metric(P_TI, "y", 30, 0.0)
-    base = skin_metric(P_HERM, "y", 30, 0.0)
+    skin = skin_metric(P_TI, "y", _band(P_TI, "y", 30, 0.0))
+    base = skin_metric(P_HERM, "y", _band(P_HERM, "y", 30, 0.0))
     assert skin > 3 * base
 
 
 def test_skin_metric_scaling_with_width():
     # doubling the width halves the delocalized baseline, while the
     # skin-localized value stays of the same order
-    base_30 = skin_metric(P_HERM, "y", 30, 0.0)
-    base_60 = skin_metric(P_HERM, "y", 60, 0.0)
+    base_30 = skin_metric(P_HERM, "y", _band(P_HERM, "y", 30, 0.0))
+    base_60 = skin_metric(P_HERM, "y", _band(P_HERM, "y", 60, 0.0))
     assert base_60 < 0.65 * base_30
-    skin_30 = skin_metric(P_TI, "y", 30, 0.0)
-    skin_60 = skin_metric(P_TI, "y", 60, 0.0)
+    skin_30 = skin_metric(P_TI, "y", _band(P_TI, "y", 30, 0.0))
+    skin_60 = skin_metric(P_TI, "y", _band(P_TI, "y", 60, 0.0))
     assert skin_60 > 0.5 * skin_30
 
 
@@ -162,3 +167,133 @@ def test_in_gap_modes_converge_with_width():
     assert len(vals[30]) == len(vals[60]) == 2
     for a, b in zip(vals[30], vals[60]):
         assert abs(a - b) < 1e-3
+
+# ---------------------------------------------------------------------------
+# the k -> k + pi gauge and the batched edge flags
+
+def _seeded_params(n=20, seed=11):
+    rng = np.random.default_rng(seed)
+    return [ModelParams(t=rng.uniform(0.5, 2.0), t1=rng.uniform(-1, 1),
+                        v=rng.uniform(-3, 3), gamma=rng.uniform(-np.pi, np.pi),
+                        gx=rng.uniform(-1, 1), gy=rng.uniform(-1, 1),
+                        ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1),
+                        mu_a=rng.uniform(-1, 1), mu_b=rng.uniform(-1, 1))
+            for _ in range(n)]
+
+
+def test_hop_table_parity():
+    # the gauge needs every hop to have r + c + dx + dy even
+    for p in _seeded_params():
+        hops = _hop_list(p)
+        assert len(hops) == 18
+        assert all((r + c + dx + dy) % 2 == 0 for r, c, dx, dy, _ in hops)
+
+
+def test_odd_hop_breaks_the_gauge(monkeypatch):
+    # a hop with odd r + c + dx + dy must raise rather than be mapped wrongly
+    hops = _hop_list(P_TI)
+    monkeypatch.setattr(nhdeg.ribbon, "_hop_list", lambda p: hops + [(0, 1, 0, 0, 0.1)])
+    with pytest.raises(ValueError, match="gauge"):
+        ribbon_spectrum(P_TI, "x", 8, k_samples=4)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_gauge_maps_k_to_k_plus_pi(axis):
+    rng = np.random.default_rng(5)
+    n = 10
+    for p in _seeded_params():
+        u = _gauge_signs(p, n)
+        k = rng.uniform(-np.pi, np.pi)
+        H = ribbon_hamiltonian(p, axis, n, k)
+        H_pi = ribbon_hamiltonian(p, axis, n, k + np.pi)
+        err = np.abs(u[:, None] * H * u[None, :] - H_pi).max()
+        assert err <= 1e-14 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("p,axis", [(P_TI, "x"), (P_TI, "y"), (P_G0, "x")]
+                         + [(p, "y") for p in _seeded_params(3, seed=2)])
+def test_mapped_bands_solve_their_own_hamiltonian(p, axis):
+    n, k_samples = 12, 8
+    bands = ribbon_spectrum(p, axis, n, k_samples=k_samples)
+    for band, partner in zip(bands[:k_samples // 2], bands[k_samples // 2:]):
+        assert band.transverse_k < 0 <= partner.transverse_k
+        assert np.array_equal(band.eigenvalues, partner.eigenvalues)
+        assert band.edge_flags == partner.edge_flags
+        H = ribbon_hamiltonian(p, axis, n, band.transverse_k)
+        R = band.eigenvectors
+        res = np.linalg.norm(H @ R - R * band.eigenvalues, axis=0) / np.linalg.norm(R, axis=0)
+        assert res.max() <= 1e-12 * np.linalg.norm(H)
+
+
+def test_mapped_hermitian_eigenvalues_match_direct_solve():
+    # P_HERM is well conditioned, so mapped and direct spectra agree closely
+    n = 16
+    for band in ribbon_spectrum(P_HERM, "y", n, k_samples=10):
+        direct = np.linalg.eigvalsh(ribbon_hamiltonian(P_HERM, "y", n, band.transverse_k))
+        assert np.abs(np.sort(band.eigenvalues.real) - direct).max() < 1e-10
+
+
+def test_one_solve_per_momentum_pair(monkeypatch):
+    calls = []
+    solve = nhdeg.ribbon.eigensystem_n
+
+    def counting(H, **kw):
+        calls.append(H.shape)
+        return solve(H, **kw)
+
+    monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", counting)
+    for k_samples, expected in ((8, 4), (10, 5), (7, 7), (9, 9)):
+        calls.clear()
+        assert len(ribbon_spectrum(P_TI, "x", 8, k_samples=k_samples)) == k_samples
+        assert len(calls) == expected
+    for k in (-np.pi, -2.0, -np.pi / 2, 0.0, 1.2, np.pi):
+        calls.clear()
+        band = _band(P_TI, "x", 8, k)
+        assert len(calls) == 1
+        assert band.transverse_k == k
+    # momenta already on the grid modulo pi cost nothing extra
+    calls.clear()
+    grid = (-np.pi + 2 * np.pi * np.arange(8) / 8).tolist()
+    ribbon_spectrum(P_TI, "x", 8, k_values=grid + [np.pi / 2, 0.0, -np.pi / 2])
+    assert len(calls) == 4
+
+
+def test_singleton_momentum_is_a_direct_solve():
+    # a momentum without a requested partner is not mapped from k + pi
+    n, k = 12, -2.0
+    band = _band(P_TI, "y", n, k)
+    es = nhdeg.ribbon.eigensystem_n(ribbon_hamiltonian(P_TI, "y", n, k), want_left=False)
+    assert np.array_equal(band.eigenvalues, es.eigenvalues)
+    assert np.array_equal(band.eigenvectors, es.right)
+
+
+def _reference_localization(v, n):
+    # the earlier per-vector formula, kept as an oracle for the batched one
+    w = np.abs(v) ** 2
+    w = w / w.sum()
+    ipr = float((w ** 2).sum())
+    com = float((np.arange(n) * (w[:n] + w[n:])).sum())
+    side = "delocalized"
+    if ipr > 4.0 / n:
+        if com < 0.25 * (n - 1):
+            side = "left"
+        elif com > 0.75 * (n - 1):
+            side = "right"
+    return ipr, com, side
+
+
+@pytest.mark.parametrize("p,axis,n,k", [(P_TI, "y", 30, np.pi / 2 - 0.05),
+                                        (P_TI, "x", 30, 1.2), (P_TI, "y", 24, -2.0),
+                                        (P_G0, "x", 30, np.pi / 2),
+                                        (P_HERM, "y", 60, 0.0)])
+def test_batched_flags_match_per_column_localization(p, axis, n, k):
+    band = _band(p, axis, n, k)
+    R = band.eigenvectors
+    assert band.edge_flags == [localization(R[:, m], n).side for m in range(2 * n)]
+    ipr, com, side = _localize(R, n)
+    ref = [_reference_localization(R[:, m], n) for m in range(2 * n)]
+    assert ipr.tolist() == [r[0] for r in ref]
+    assert com.tolist() == [r[1] for r in ref]
+    assert side == [r[2] for r in ref]
+    # the non-Hermitian cases exercise the edge thresholds
+    assert set(side) - {"delocalized"} or p is P_HERM
