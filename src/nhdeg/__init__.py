@@ -8,30 +8,15 @@ phenomenology of a 2D nonreciprocal tight-binding model.
 
 __version__ = "0.1.0"
 
-from .linalg import (CoalescenceReport, Eigensystem, coalescence, discriminant,
-                     eigensystem2, eigensystem_n)
-from .model import (DVector, Expansion, ModelParams, Momentum, bloch_hamiltonian,
-                    d_vector, discriminant_function, dispersion, linear_expansion,
-                    load_params, phase_boundaries, phase_classify,
-                    quadratic_expansion, real_space_hamiltonian, save_params,
-                    weyl_dispersion)
-from .ribbon import (LocalizationReport, RibbonBand, ZeroModePairReport,
-                     bulk_gap_interval, in_gap_indices, localization,
-                     obc_defective_check, ribbon_hamiltonian, ribbon_spectrum,
-                     skin_metric)
-from .scanner import (DegeneracyPoint, ScalarField, ScanResult, ZeroCurve,
-                      fermi_curves, find_degeneracies, fold_points,
-                      scan_discriminant, zero_curves)
-from .serialize import (FORMAT, read_vector_field_csv, write_band_csv,
-                        write_json, write_vector_field_csv)
-from .symmetry import (CompositeSymmetrySpec, SymmetryReport, builtin_spec,
-                       check_bloch, check_realspace, pair_product_phase,
-                       symmetry_survey)
-from .theorem import (AntiunitaryOperator, DegenerateSubspace,
-                      extract_degenerate_subspace, make_upsilon_left,
-                      make_upsilon_right, random_degenerate_hamiltonian,
-                      run_ensemble, theorem_report, verify_intertwining,
-                      verify_orthogonality, verify_pair_product,
-                      verify_swap_action)
+from . import linalg, model, ribbon, scanner, serialize, symmetry, theorem
+from .linalg import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .ribbon import *  # noqa: F401,F403
+from .scanner import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
+from .symmetry import *  # noqa: F401,F403
+from .theorem import *  # noqa: F401,F403
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names are each module's __all__, listed once there
+__all__ = [name for module in (linalg, model, ribbon, scanner, serialize, symmetry, theorem)
+           for name in module.__all__]

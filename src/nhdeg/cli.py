@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .model import (ModelParams, load_params, phase_boundaries, phase_classify)
+from .model import ModelParams, _k_grid, load_params, phase_boundaries, phase_classify
 from .ribbon import localization, obc_defective_check, ribbon_spectrum, skin_metric
 from .scanner import find_degeneracies, scan_discriminant  # noqa: F401 (perfbench reads it)
 from .serialize import (json_document, write_band_csv, write_json,
@@ -34,10 +34,19 @@ from .theorem import run_ensemble
 __all__ = ["main"]
 
 
+def _count(text: str) -> int:
+    """Argument type of the count flags: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--tol", type=float, default=None, help="override tolerance")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _params_from(args) -> ModelParams:
@@ -63,7 +72,7 @@ def cmd_theorem(args) -> int:
         if not ok and report["failures"]:
             print(f"first failure: {report['failures'][0]}")
         return 0 if ok else 1
-    worst = max(report["max_residuals"].values(), default=0.0)
+    worst = max(report["max_residuals"].values())
     print(f"theorem: {args.trials} trials over dims {dims}, "
           f"worst residual {worst:.3e} (bound {bound:.1e})")
     if not report["passed"] and report["failures"]:
@@ -143,7 +152,7 @@ def cmd_phases(args) -> int:
 
 def cmd_ribbon(args) -> int:
     p = _params_from(args)
-    k_grid = -np.pi + 2 * np.pi * np.arange(args.k_samples) / args.k_samples
+    k_grid = _k_grid(args.k_samples)
     # the zero-mode and skin momenta cost no solve when on the grid modulo pi
     *bands, zero_band, skin_band = ribbon_spectrum(
         p, args.axis, args.n_cells, k_values=[*k_grid.tolist(), args.zero_k, 0.0])
@@ -180,27 +189,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("theorem", help="verify the operator-pair construction")
-    t.add_argument("--trials", type=int, default=500)
+    t.add_argument("--trials", type=_count, default=500)
     t.add_argument("--min-dim", type=int, default=2)
     t.add_argument("--max-dim", type=int, default=8)
     t.add_argument("--inject-defective", action="store_true",
                    help="feed Jordan blocks instead; expect rejection")
+    t.add_argument("--tol", type=float, default=None, help="override the residual bound")
+    t.add_argument("--seed", type=int, default=0)
     _add_common(t)
     t.set_defaults(func=cmd_theorem)
 
     s = sub.add_parser("scan", help="find and classify degeneracies")
     s.add_argument("--params", required=True)
-    s.add_argument("--nx", type=int, default=301)
-    s.add_argument("--ny", type=int, default=301)
+    s.add_argument("--nx", type=_count, default=301)
+    s.add_argument("--ny", type=_count, default=301)
     s.add_argument("--fold-bz", action="store_true",
                    help="merge points equivalent under the reduced zone")
+    s.add_argument("--tol", type=float, default=None, help="override the Newton tolerance")
     _add_common(s)
     s.set_defaults(func=cmd_scan)
 
     y = sub.add_parser("symmetry", help="survey the built-in symmetries")
     y.add_argument("--params", required=True)
-    y.add_argument("--nx", type=int, default=32)
-    y.add_argument("--ny", type=int, default=32)
+    y.add_argument("--nx", type=_count, default=32)
+    y.add_argument("--ny", type=_count, default=32)
     _add_common(y)
     y.set_defaults(func=cmd_symmetry)
 
@@ -208,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--params", required=True)
     f.add_argument("--v-min", type=float, default=-6.0)
     f.add_argument("--v-max", type=float, default=6.0)
-    f.add_argument("--v-steps", type=int, default=121)
+    f.add_argument("--v-steps", type=_count, default=121)
     f.add_argument("--g-min", type=float, default=0.0)
     f.add_argument("--g-max", type=float, default=1.0)
-    f.add_argument("--g-steps", type=int, default=11)
+    f.add_argument("--g-steps", type=_count, default=11)
     f.add_argument("--boundary-tol", type=float, default=1e-6)
     _add_common(f)
     f.set_defaults(func=cmd_phases)
@@ -219,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("ribbon", help="ribbon spectra and localization")
     r.add_argument("--params", required=True)
     r.add_argument("--axis", choices=("x", "y"), default="x")
-    r.add_argument("--n-cells", type=int, default=30)
-    r.add_argument("--k-samples", type=int, default=64)
+    r.add_argument("--n-cells", type=_count, default=30)
+    r.add_argument("--k-samples", type=_count, default=64)
     r.add_argument("--zero-k", type=float, default=np.pi / 2,
                    help="transverse momentum for the zero-mode pair check")
     r.add_argument("--dump-vectors", action="store_true")

@@ -24,17 +24,14 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "Momentum",
-    "DVector",
+    "Expansion",
     "X1_POINTS",
     "X2_POINTS",
     "M_POINTS",
     "GAMMA_POINT",
     "bloch_hamiltonian",
-    "d_vector",
     "dispersion",
     "discriminant_function",
-    "weyl_dispersion",
     "real_space_hamiltonian",
     "phase_boundaries",
     "phase_classify",
@@ -49,6 +46,12 @@ X1_POINTS = ((np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2))
 X2_POINTS = ((np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2))
 M_POINTS = ((-np.pi, 0.0), (0.0, -np.pi))
 GAMMA_POINT = (0.0, 0.0)
+
+
+def _k_grid(n: int) -> np.ndarray:
+    """The n uniform momenta -pi + 2 pi j / n of one torus axis, in [-pi, pi)."""
+    return -np.pi + 2 * np.pi * np.arange(n) / n
+
 
 _PARAM_KEYS = ("t", "t1", "v", "gamma", "gx", "gy", "ga", "gb", "mu_a", "mu_b")
 
@@ -90,44 +93,6 @@ class ModelParams:
         """True when the Bloch matrix is Hermitian for every momentum."""
         return (self.gx == self.gy == self.ga == self.gb == 0.0
                 and self.mu_a == self.mu_b == 0.0)
-
-
-class Momentum:
-    """A crystal momentum, canonicalized to the square torus [-pi, pi)^2."""
-
-    __slots__ = ("kx", "ky")
-
-    def __init__(self, kx: float, ky: float):
-        self.kx = _wrap_angle(kx)
-        self.ky = _wrap_angle(ky)
-
-    def __iter__(self):
-        return iter((self.kx, self.ky))
-
-    def __repr__(self):
-        return f"Momentum(kx={self.kx!r}, ky={self.ky!r})"
-
-
-def _wrap_angle(k: float) -> float:
-    """Map an angle to [-pi, pi)."""
-    k = (k + np.pi) % (2 * np.pi) - np.pi
-    # guard against the half-open boundary landing on +pi through rounding
-    return -np.pi if k >= np.pi else k
-
-
-@dataclass(frozen=True)
-class DVector:
-    """Pauli decomposition h = d0*1 + dx*sx + dy*sy + dz*sz of a Bloch matrix."""
-
-    d0: complex
-    dx: complex
-    dy: complex
-    dz: complex
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.d0 + self.dz, self.dx - 1j * self.dy],
-             [self.dx + 1j * self.dy, self.d0 - self.dz]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +202,6 @@ def _d_components(p: ModelParams, kx, ky):
     return tuple(_hop_sum(_hop_tables(p)[1], kx, ky))
 
 
-def d_vector(p: ModelParams, kx: float, ky: float) -> DVector:
-    """Pauli decomposition of the Bloch matrix at (kx, ky).
-
-    Valid for ``mu_a = mu_b = 0``; raises otherwise since the printed
-    decomposition does not include the imaginary onsite terms.
-    """
-    if p.mu_a != 0.0 or p.mu_b != 0.0:
-        raise ValueError("d_vector requires mu_a = mu_b = 0")
-    d0, dx, dy, dz = _d_components(p, kx, ky)
-    return DVector(complex(d0), complex(dx), complex(dy), complex(dz))
-
-
 def discriminant_function(p: ModelParams, kx, ky):
     """Discriminant eta(k) = tr(h)^2 - 4 det(h) from the Pauli components.
 
@@ -266,28 +219,26 @@ def dispersion(p: ModelParams, kx, ky):
     return d0 + root, d0 - root
 
 
-def weyl_dispersion(p: ModelParams, kx, ky):
-    """Nearest-neighbor-only dispersion in the cosh form.
-
-    Requires t1 = ga = gb = v = mu = 0 (pure nearest-neighbor model); the
-    two bands are +-t*sqrt(f e^phi + f e^-phi + 2(cos 2kx + cos 2ky + 2))
-    with phi = 2i*gamma + gx - gy and f = 4 cos(kx) cos(ky).
-    """
-    for name in ("t1", "ga", "gb", "v", "mu_a", "mu_b"):
-        if getattr(p, name) != 0.0:
-            raise ValueError(
-                f"weyl_dispersion requires {name} = 0, got {getattr(p, name)}")
-    phi = 2j * p.gamma + p.gx - p.gy
-    f = 4.0 * np.cos(kx) * np.cos(ky)
-    radicand = (f * np.exp(phi) + f * np.exp(-phi)
-                + 2.0 * (np.cos(2 * np.asarray(kx, dtype=float))
-                         + np.cos(2 * np.asarray(ky, dtype=float)) + 2.0))
-    root = p.t * np.sqrt(radicand.astype(complex))
-    return root, -root
-
-
 # ---------------------------------------------------------------------------
 # real space
+
+def _axis_steps(bc: str, n: int) -> list:
+    """(source, target) cell indices along one axis for the steps -1, 0, 1.
+
+    A periodic axis wraps the target; an open axis drops the sources whose
+    target falls past an edge.
+    """
+    cells = np.arange(n)
+    steps = []
+    for d in (-1, 0, 1):
+        target = cells + d
+        if bc == "periodic":
+            steps.append((cells, target % n))
+        else:
+            keep = (target >= 0) & (target < n)
+            steps.append((cells[keep], target[keep]))
+    return steps
+
 
 def real_space_hamiltonian(p: ModelParams, nx: int, ny: int,
                            bc=("periodic", "periodic"),
@@ -309,49 +260,33 @@ def real_space_hamiltonian(p: ModelParams, nx: int, ny: int,
     A hop whose column cell is displaced by ``delta`` along a Bloch axis
     carries the phase exp(-1j * k * delta), the convention under which
     :func:`bloch_hamiltonian` sums the same hops (checked against each
-    other by the Fourier-consistency tests).
+    other by the Fourier-consistency tests).  A Bloch axis is a periodic
+    axis of one cell, so every hop along it lands in the same cell.
     """
     for axis in bc:
         if axis not in ("periodic", "open"):
             raise ValueError(f"invalid boundary condition {axis!r}")
-    hops = _hop_list(p)
     if transverse_k is not None:
         n_open = sum(1 for axis in bc if axis == "open")
         if n_open != 1:
             raise ValueError(
                 "transverse_k requires exactly one open axis, got bc={}".format(bc))
-        open_axis = "x" if bc[0] == "open" else "y"
-        n = nx if open_axis == "x" else ny
-        if n < 2:
+        bloch = 1 if bc[0] == "open" else 0
+        if (nx, ny)[1 - bloch] < 2:
             raise ValueError("ribbon needs at least 2 cells on the open axis")
-        H = np.zeros((2 * n, 2 * n), dtype=complex)
-        for r, c, dx, dy, amp in hops:
-            d_open, d_bloch = (dx, dy) if open_axis == "x" else (dy, dx)
-            phase = np.exp(-1j * transverse_k * d_bloch)
-            for j in range(n):
-                jc = j + d_open
-                if 0 <= jc < n:
-                    H[r * n + j, c * n + jc] += amp * phase
-        return H
-
-    if nx < 2 or ny < 2:
+        nx, ny = (nx, 1) if bloch else (1, ny)
+    elif nx < 2 or ny < 2:
         raise ValueError("need nx, ny >= 2")
     ncell = nx * ny
+    xsteps, ysteps = _axis_steps(bc[0], nx), _axis_steps(bc[1], ny)
     H = np.zeros((2 * ncell, 2 * ncell), dtype=complex)
-    for r, c, dx, dy, amp in hops:
-        for ix in range(nx):
-            jx = ix + dx
-            if bc[0] == "periodic":
-                jx %= nx
-            elif not (0 <= jx < nx):
-                continue
-            for iy in range(ny):
-                jy = iy + dy
-                if bc[1] == "periodic":
-                    jy %= ny
-                elif not (0 <= jy < ny):
-                    continue
-                H[r * ncell + iy * nx + ix, c * ncell + jy * nx + jx] += amp
+    # each hop touches every matrix element at most once, so one fancy-indexed
+    # += per hop sums every element in hop order
+    for r, c, dx, dy, amp in _hop_list(p):
+        (sx, tx), (sy, ty) = xsteps[dx + 1], ysteps[dy + 1]
+        if transverse_k is not None:
+            amp = amp * np.exp(-1j * transverse_k * (dx, dy)[bloch])
+        H[r * ncell + sy[:, None] * nx + sx, c * ncell + ty[:, None] * nx + tx] += amp
     return H
 
 
@@ -396,8 +331,8 @@ def phase_classify(p: ModelParams, tol: float = 1e-9) -> str:
 class Expansion:
     """Truncated Taylor model of the Bloch matrix around a momentum.
 
-    ``coeffs`` maps monomials (i, j) meaning px^i py^j to DVector-style
-    4-tuples (d0, dx, dy, dz); ``order`` is the truncation order.
+    ``coeffs`` maps monomials (i, j) meaning px^i py^j to 4-tuples
+    (d0, dx, dy, dz); ``order`` is the truncation order.
     """
 
     center: tuple[float, float]

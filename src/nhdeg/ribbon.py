@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eigensystem_n
-from .model import ModelParams, _hop_list, dispersion, real_space_hamiltonian
+from .model import ModelParams, _hop_list, _k_grid, dispersion, real_space_hamiltonian
 
 # Ribbon matrices in the skin-effect regimes are strongly non-normal and
 # their left/right eigenvalue pairing is pseudospectrally ill-posed, so the
@@ -153,7 +153,7 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int,
     across pi gets its own gauge-mapped eigenvectors (module docstring).
     """
     if k_values is None:
-        k_values = -np.pi + 2 * np.pi * np.arange(k_samples) / k_samples
+        k_values = _k_grid(k_samples)
     ks = [float(k) for k in k_values]
     wrapped = (np.array(ks) + np.pi) % (2 * np.pi) - np.pi
     lower = wrapped < 0
@@ -191,7 +191,7 @@ def bulk_gap_interval(p: ModelParams, open_axis: str, transverse_k: float,
     = min Re of the plus band over the momentum along the open axis; an
     empty or inverted interval means no gap.
     """
-    ks = -np.pi + 2 * np.pi * np.arange(nk) / nk
+    ks = _k_grid(nk)
     if open_axis == "x":
         plus, minus = dispersion(p, ks, transverse_k)
     else:

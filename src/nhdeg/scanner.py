@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import coalescence
-from .model import (ModelParams, _d_components, bloch_hamiltonian,
+from .model import (ModelParams, _d_components, _k_grid, bloch_hamiltonian,
                     discriminant_function, dispersion)
 
 __all__ = [
@@ -125,17 +125,11 @@ class ZeroCurve:
     point_zeros: list = field(default_factory=list)
 
 
-def _grid(nx: int, ny: int):
-    kx = -np.pi + _TWO_PI * np.arange(nx) / nx
-    ky = -np.pi + _TWO_PI * np.arange(ny) / ny
-    return kx, ky
-
-
 def scan_discriminant(p: ModelParams, nx: int = 501, ny: int = 501) -> ScalarField:
     """Sample the discriminant eta on an nx-by-ny grid over [-pi, pi)^2."""
     if nx < 16 or ny < 16:
         raise ValueError("need nx, ny >= 16")
-    kx, ky = _grid(nx, ny)
+    kx, ky = _k_grid(nx), _k_grid(ny)
     values = discriminant_function(p, kx[None, :], ky[:, None])
     return ScalarField(kx=kx, ky=ky, values=np.asarray(values, dtype=complex))
 
@@ -511,7 +505,7 @@ def fermi_curves(p: ModelParams, nx: int = 301, ny: int = 301,
         raise ValueError(f"which must be 're' or 'im', got {which!r}")
     if band not in ("+", "-"):
         raise ValueError(f"band must be '+' or '-', got {band!r}")
-    kx, ky = _grid(nx, ny)
+    kx, ky = _k_grid(nx), _k_grid(ny)
     plus, minus = dispersion(p, kx[None, :], ky[:, None])
     eps = plus if band == "+" else minus
     comp = eps.real if which == "re" else eps.imag

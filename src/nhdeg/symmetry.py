@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, bloch_hamiltonian, real_space_hamiltonian
+from .model import ModelParams, _k_grid, bloch_hamiltonian, real_space_hamiltonian
 
 __all__ = [
     "CompositeSymmetrySpec",
@@ -56,21 +56,17 @@ HOLD_TOL = 1e-10
 class CompositeSymmetrySpec:
     """Declarative description of one composite anti-unitary operation.
 
-    ``unitary_part`` is the sublattice action ('sigma_x' here for all
-    built-ins), ``conjugates`` marks the complex conjugation, ``reflect_y``
-    the y-axis mirror, ``translation_x`` the number of x translation steps,
-    ``parameter_map`` one of 'identity' or 'swap_negate_diag', and
-    ``site_phase`` whether the operator carries the position-dependent
+    Every operation is the sublattice swap sigma_x, complex conjugation and
+    a one-cell translation along x.  ``reflect_y`` adds the y-axis mirror,
+    ``parameter_map`` is one of 'identity' or 'swap_negate_diag', and
+    ``site_phase`` says whether the operator carries the position-dependent
     phases exp(2i*gamma*iy) * exp(-2i*gamma*ix) per unit step (with the B
     orbital offset by one x step).
     """
 
     name: str
     side: str
-    unitary_part: str = "sigma_x"
-    conjugates: bool = True
     reflect_y: bool = False
-    translation_x: int = 1
     parameter_map: str = "identity"
     site_phase: bool = False
 
@@ -79,8 +75,6 @@ class CompositeSymmetrySpec:
             raise ValueError(f"side must be 'R' or 'L', got {self.side!r}")
         if self.parameter_map not in ("identity", "swap_negate_diag"):
             raise ValueError(f"unknown parameter map {self.parameter_map!r}")
-        if self.unitary_part != "sigma_x":
-            raise ValueError(f"unsupported unitary part {self.unitary_part!r}")
 
 
 @dataclass
@@ -150,8 +144,7 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
     """
     W = _spinor_part(spec, p)
     pp = apply_parameter_map(spec, p)
-    kxs = -np.pi + 2 * np.pi * np.arange(nx) / nx
-    kys = -np.pi + 2 * np.pi * np.arange(ny) / ny
+    kxs, kys = _k_grid(nx), _k_grid(ny)
     # kx on the first axis, so first-occurrence argmax/argmin break ties
     # the way a kx-outer scan over the grid does
     kx, ky = kxs[:, None], kys[None, :]
@@ -182,7 +175,7 @@ def _operator_matrix(spec: CompositeSymmetrySpec, p: ModelParams,
     P = np.zeros((ncell, ncell))
     for ix in range(nx):
         for iy in range(ny):
-            P[idx(ix + spec.translation_x, iy), idx(ix, iy)] = 1.0
+            P[idx(ix + 1, iy), idx(ix, iy)] = 1.0
     if spec.reflect_y:
         R = np.zeros((ncell, ncell))
         for ix in range(nx):
@@ -253,8 +246,8 @@ def pair_product_phase(spec_r: CompositeSymmetrySpec,
         raise ValueError("need one R spec and one L spec")
     kx, _ = k
     sign = -1.0 if spec_r.reflect_y else 1.0
-    steps = spec_r.translation_x + spec_l.translation_x
-    angle = -kx * steps
+    # each side translates one cell along x
+    angle = -kx * 2
     # exact values at the quarter turns, where the protected momenta sit
     quarter = angle / (np.pi / 2)
     if abs(quarter - round(quarter)) < 1e-12:

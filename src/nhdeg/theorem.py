@@ -316,9 +316,15 @@ def run_ensemble(dims=(2, 3, 4, 5, 6, 7, 8), trials: int = 500, seed: int = 0,
     with a seed offset for determinism.  Returns per-check maxima and a
     pass flag against ``bound`` (residuals are relative to |H|).  With
     ``inject_defective`` every matrix carries a Jordan block instead, and
-    the report counts how many trials were correctly rejected.
+    the report counts how many trials were correctly rejected.  Raises
+    ``ValueError`` for fewer than one trial, no dimensions or a dimension
+    below 2, where there would be nothing to verify.
     """
     dims = tuple(dims)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if not dims or min(dims) < 2:
+        raise ValueError(f"need one or more dimensions, each at least 2, got {dims}")
     worst = {"intertwining": 0.0, "swap": 0.0, "orthogonality": 0.0,
              "product": 0.0, "eigenvalue_preservation": 0.0}
     failures = []
@@ -352,7 +358,7 @@ def run_ensemble(dims=(2, 3, 4, 5, 6, 7, 8), trials: int = 500, seed: int = 0,
                                rep["product"]["subspace_action_residual"])
         worst["eigenvalue_preservation"] = max(worst["eigenvalue_preservation"],
                                                rep["eigenvalue_preservation"])
-    passed = not failures and (inject_defective or max(worst.values(), default=0.0) <= bound)
+    passed = not failures and (inject_defective or max(worst.values()) <= bound)
     return {
         "trials": trials,
         "dims": list(dims),

@@ -159,8 +159,62 @@ def test_cli_theorem(tmp_path):
     assert doc["trials"] == 40
 
 
-def test_cli_theorem_zero_trials(tmp_path):
-    assert main(["theorem", "--trials", "0", "--out", str(tmp_path)]) == 0
+def test_cli_theorem_zero_trials(tmp_path, capsys):
+    # an empty ensemble is a usage error, not a verified pass
+    assert main(["theorem", "--trials", "0", "--out", str(tmp_path)]) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not (tmp_path / "theorem.json").exists()
+
+
+@pytest.mark.parametrize("dims", [("5", "3"), ("1", "3")])
+def test_cli_theorem_bad_dims(tmp_path, capsys, dims):
+    rc = main(["theorem", "--min-dim", dims[0], "--max-dim", dims[1],
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "dimensions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem", "--trials", "-2"],
+    ["scan", "--nx", "0"],
+    ["scan", "--ny", "-1"],
+    ["symmetry", "--nx", "0"],
+    ["symmetry", "--ny", "2.5"],
+    ["phases", "--v-steps", "0"],
+    ["phases", "--g-steps", "zero"],
+    ["ribbon", "--k-samples", "0"],
+    ["ribbon", "--n-cells", "0"],
+])
+def test_cli_count_flags_reject_non_positive(tmp_path, regime1_file, capsys, argv):
+    params = [] if argv[0] == "theorem" else ["--params", str(regime1_file)]
+    assert main(argv[:1] + params + argv[1:] + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: expected a positive integer" in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((command, flag) for command in ("symmetry", "phases", "ribbon")
+      for flag in (["--tol", "1e-9"], ["--seed", "3"])),
+    ("scan", ["--seed", "3"]),
+])
+def test_cli_removed_flags_are_usage_errors(tmp_path, regime1_file, command, flag):
+    out = tmp_path / "out"
+    assert main([command, "--params", str(regime1_file), *flag, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_scan_accepts_tol(tmp_path, regime1_file):
+    assert main(["scan", "--params", str(regime1_file), "--nx", "31", "--ny", "31",
+                 "--tol", "1e-12", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "degeneracies.json").read_text())
+    assert doc["tol"] == 1e-12
+
+
+def test_cli_theorem_accepts_tol_and_seed(tmp_path):
+    assert main(["theorem", "--trials", "7", "--tol", "1e-8", "--seed", "4",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "theorem.json").read_text())
+    assert (doc["bound"], doc["seed"], doc["trials"]) == (1e-8, 4, 7)
 
 
 def test_cli_theorem_defective_injection(tmp_path):
@@ -261,7 +315,7 @@ def test_cli_determinism(tmp_path, regime1_file):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         rc = main(["scan", "--params", str(regime1_file), "--nx", "101",
-                   "--ny", "101", "--seed", "7", "--out", str(out)])
+                   "--ny", "101", "--out", str(out)])
         assert rc == 0
     for name in ("degeneracies.json", "field.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

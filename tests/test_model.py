@@ -1,17 +1,19 @@
 """Tests for the lattice model: Bloch matrix, real space, phases, expansions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import match_eigenvalue_multisets
-from nhdeg.model import (ModelParams, Momentum, X1_POINTS, X2_POINTS,
-                         _d_components, bloch_hamiltonian, d_vector,
-                         discriminant_function, dispersion, linear_expansion,
-                         load_params, phase_boundaries, phase_classify,
-                         quadratic_expansion, real_space_hamiltonian,
-                         save_params, weyl_dispersion)
+from _oracles import (match_eigenvalue_multisets, real_space_hamiltonian_loops,
+                      weyl_dispersion)
+from nhdeg.model import (ModelParams, X1_POINTS, X2_POINTS, _d_components,
+                         bloch_hamiltonian, discriminant_function, dispersion,
+                         linear_expansion, load_params, phase_boundaries,
+                         phase_classify, quadratic_expansion,
+                         real_space_hamiltonian, save_params)
 
 
 def random_params(rng, hermitian=False):
@@ -121,14 +123,6 @@ def test_bloch_hermitian_limit():
         np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
 
-def test_momentum_canonicalization():
-    m = Momentum(3 * np.pi / 2, -9 * np.pi / 4)
-    assert -np.pi <= m.kx < np.pi
-    assert -np.pi <= m.ky < np.pi
-    np.testing.assert_allclose(m.kx, -np.pi / 2)
-    np.testing.assert_allclose(m.ky, -np.pi / 4)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(t=0.0)
@@ -137,30 +131,39 @@ def test_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# d vector
+# d vector (the Pauli components)
+
+def d_at(p, kx, ky):
+    """(d0, dx, dy, dz) at one momentum, as Python complex numbers."""
+    return tuple(complex(c) for c in _d_components(p, kx, ky))
+
+
+def pauli_matrix(d0, dx, dy, dz):
+    return np.array([[d0 + dz, dx - 1j * dy], [dx + 1j * dy, d0 - dz]])
+
 
 def test_d_vector_regime1_has_no_identity_or_z_component():
     p = ModelParams(gamma=0.7, gx=0.4, gy=-0.2)
     rng = np.random.default_rng(2)
     for _ in range(20):
         kx, ky = rng.uniform(-np.pi, np.pi, 2)
-        d = d_vector(p, kx, ky)
-        assert abs(d.d0) < 1e-14
-        assert abs(d.dz) < 1e-14
+        d0, _, _, dz = d_at(p, kx, ky)
+        assert abs(d0) < 1e-14
+        assert abs(dz) < 1e-14
 
 
 def test_d_vector_z_component_at_x1():
     # direct substitution: sin(kx) sin(ky) = 1 at X1 and the imaginary part
     # cancels with cos(kx) = 0; the value matches the gap-closure potential
     p = ModelParams(t1=0.75, ga=0.5, gb=0.3)
-    d = d_vector(p, np.pi / 2, np.pi / 2)
+    dz = d_at(p, np.pi / 2, np.pi / 2)[3]
     expected = 2 * 0.75 * (np.cosh(0.5) + np.cosh(0.3))
-    assert d.dz == pytest.approx(expected, abs=1e-12)
-    assert d.dz.imag == pytest.approx(0.0, abs=1e-12)
+    assert dz == pytest.approx(expected, abs=1e-12)
+    assert dz.imag == pytest.approx(0.0, abs=1e-12)
     # cross-check gap closure at v = v1
     v1, _ = phase_boundaries(p)
-    d_closed = d_vector(p.replace(v=v1), np.pi / 2, np.pi / 2)
-    assert abs(d_closed.dz) < 1e-12
+    dz_closed = d_at(p.replace(v=v1), np.pi / 2, np.pi / 2)[3]
+    assert abs(dz_closed) < 1e-12
 
 
 @settings(deadline=None, max_examples=100)
@@ -170,12 +173,7 @@ def test_d_vector_reconstructs_bloch_matrix(seed):
     p = random_params(rng).replace(mu_a=0.0, mu_b=0.0)
     kx, ky = rng.uniform(-np.pi, np.pi, 2)
     h = bloch_hamiltonian(p, kx, ky)
-    np.testing.assert_allclose(d_vector(p, kx, ky).matrix(), h, atol=1e-12)
-
-
-def test_d_vector_rejects_mu():
-    with pytest.raises(ValueError):
-        d_vector(ModelParams(mu_a=0.1), 0, 0)
+    np.testing.assert_allclose(pauli_matrix(*d_at(p, kx, ky)), h, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +265,50 @@ def test_real_space_invalid_bc():
     with pytest.raises(ValueError):
         real_space_hamiltonian(ModelParams(), 4, 4, bc=("open", "open"),
                                transverse_k=0.3)
+
+
+BOUNDARY_CONDITIONS = [("periodic", "periodic"), ("open", "periodic"),
+                       ("periodic", "open"), ("open", "open")]
+
+
+@pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS, ids="-".join)
+def test_real_space_matches_loop_oracle_bytes(bc):
+    # every field set (mu_a, mu_b included); nx or ny = 2 wraps the +-1 hops
+    # onto the same cell, so the sums there depend on the hop order
+    rng = np.random.default_rng(BOUNDARY_CONDITIONS.index(bc))
+    for nx, ny in [(2, 2), (2, 5), (3, 2), (4, 4), (5, 3), (6, 6)]:
+        p = random_params(rng).replace(t=rng.uniform(0.5, 2.0))
+        got = real_space_hamiltonian(p, nx, ny, bc)
+        want = real_space_hamiltonian_loops(p, nx, ny, bc)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS[1:3], ids="-".join)
+def test_ribbon_matches_loop_oracle_bytes(bc):
+    rng = np.random.default_rng(10 + BOUNDARY_CONDITIONS.index(bc))
+    for n in (2, 3, 8, 39):
+        for k in (0.0, np.pi / 2, -np.pi, rng.uniform(-np.pi, np.pi)):
+            p = random_params(rng).replace(t=rng.uniform(0.5, 2.0))
+            got = real_space_hamiltonian(p, n, n, bc, transverse_k=k)
+            want = real_space_hamiltonian_loops(p, n, n, bc, transverse_k=k)
+            assert got.shape == (2 * n, 2 * n)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((4, 4, ("open", "wrap")), {}),
+    ((4, 4, ("open", "open")), {"transverse_k": 0.3}),
+    ((4, 4, ("periodic", "periodic")), {"transverse_k": 0.3}),
+    ((1, 4, ("open", "periodic")), {"transverse_k": 0.3}),
+    ((4, 1, ("periodic", "open")), {"transverse_k": 0.3}),
+    ((1, 4, ("periodic", "periodic")), {}),
+    ((4, 1, ("open", "open")), {}),
+])
+def test_real_space_errors_match_loop_oracle(args, kwargs):
+    with pytest.raises(ValueError) as want:
+        real_space_hamiltonian_loops(ModelParams(), *args, **kwargs)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        real_space_hamiltonian(ModelParams(), *args, **kwargs)
 
 
 def test_ribbon_block_matches_full_cylinder_spectrum():

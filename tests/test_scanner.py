@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from nhdeg.model import (ModelParams, discriminant_function, dispersion,
+from nhdeg.model import (ModelParams, _k_grid, discriminant_function, dispersion,
                          phase_boundaries)
-from nhdeg.scanner import (ScalarField, _grid, _local_minima, _marching_squares,
+from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
                            fermi_curves, find_degeneracies,
                            fold_points, scan_discriminant, zero_curves)
 
@@ -510,7 +510,7 @@ def ckdtree_point_zeros(fld, comp, polylines):
 def point_zero_fields():
     rng = np.random.default_rng(41)
     for ny, nx in ((17, 17), (40, 61), (61, 40), (64, 64)):
-        kx, ky = _grid(nx, ny)
+        kx, ky = _k_grid(nx), _k_grid(ny)
         smooth = (np.cos(kx)[None, :] + 0.7 * np.cos(2 * ky)[:, None]
                   + 0.2 * rng.standard_normal((ny, nx)))
         noise = 3 * rng.standard_normal((ny, nx))
@@ -519,7 +519,7 @@ def point_zero_fields():
                        np.maximum(smooth - 0.3, 0.0), np.round(smooth) ** 2):
             yield ScalarField(kx=kx, ky=ky, values=values.astype(complex))
     # the gamma = 0 band plateaus: tens of thousands of point-zero candidates
-    kx, ky = _grid(201, 201)
+    kx = ky = _k_grid(201)
     plus, _ = dispersion(ModelParams(gamma=0.0, gx=0.5, gy=0.3), kx[None, :], ky[:, None])
     yield ScalarField(kx=kx, ky=ky, values=plus.imag.astype(complex))
 

@@ -204,6 +204,14 @@ def test_ensemble_small_run_and_defective_injection():
 
 
 def test_ensemble_zero_trials():
-    rep = run_ensemble(trials=0, seed=0)
-    assert rep["passed"]
-    assert rep["failures"] == []
+    # an empty ensemble verifies nothing, so it must not report a pass
+    with pytest.raises(ValueError, match="trial"):
+        run_ensemble(trials=0, seed=0)
+    with pytest.raises(ValueError, match="trial"):
+        run_ensemble(trials=-2, seed=0)
+
+
+@pytest.mark.parametrize("dims", [(), range(5, 4), (1, 2), (2, 0)])
+def test_ensemble_rejects_bad_dims(dims):
+    with pytest.raises(ValueError, match="dimensions"):
+        run_ensemble(dims=dims, trials=3)
