@@ -40,7 +40,7 @@ print("\npair products at the protected momenta (must be -1):")
 for name, k, where in [("upsilon", (np.pi / 2, np.pi / 2), "X"),
                        ("upsilon_prime", (np.pi, 0.0), "M"),
                        ("upsilon_doubleprime", (0.0, 0.0), "zone center")]:
-    val = pair_product_phase(builtin_spec(name, "R"), builtin_spec(name, "L"), k)
+    val = pair_product_phase(builtin_spec(name), k)
     print(f"  {name:22s} at {where:12s}: {val}")
 
 print("\nbreaking the nearest-neighbor symmetry lifts the X degeneracy:")

@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(y)
     y.set_defaults(func=cmd_symmetry)
 
-    f = sub.add_parser("phases", help="staggered-potential phase sweep")
+    phases_help = "staggered-potential phase sweep; needs 0 < gamma < pi/2 and gx = gy = 0"
+    f = sub.add_parser("phases", help=phases_help, description=phases_help)
     f.add_argument("--params", required=True)
     f.add_argument("--v-min", type=float, default=-6.0)
     f.add_argument("--v-max", type=float, default=6.0)

@@ -2,9 +2,10 @@
 
 The discriminant eta(k) of the two-band Bloch matrix vanishes exactly at
 spectral degeneracies.  This module samples eta on a uniform grid over the
-square torus [-pi, pi)^2, seeds candidates from sign changes and from local
-minima of |eta| (needed because non-defective touchings are even-order zeros
-where neither component changes sign), refines every candidate with a damped
+square torus [-pi, pi)^2, seeds candidates from sign changes and from every
+local minimum of |eta| (needed because non-defective touchings are even-order
+zeros where neither component changes sign, and a coarse grid may sample
+|eta| far above zero next to one), refines every candidate with a damped
 two-dimensional Newton iteration on (Re eta, Im eta), and classifies each
 refined point as defective or non-defective.  Marching squares provides the
 zero curves of Re eta, Im eta and of the band real/imaginary parts (the
@@ -72,7 +73,8 @@ class DegeneracyPoint:
     ``NONDEFECTIVE_MATRIX_TOL * max(1, |h|)`` of lambda0 times the identity
     (the only diagonalizable 2x2 double degeneracy), 'defective' when the
     eigenvector overlap reaches ``DEFECTIVE_OVERLAP_FLOOR``, and
-    'unresolved' otherwise (never expected; treated as an error by tests).
+    'unresolved' when neither holds even after a polish on the Pauli
+    components (never expected; treated as an error by tests).
     """
 
     kx: float
@@ -282,23 +284,37 @@ def _dedup(points: np.ndarray, radius: float):
     return keep
 
 
+def _classify(p: ModelParams, k):
+    """(lambda0, kind, overlap) of the Bloch matrix at k (see DegeneracyPoint)."""
+    h = bloch_hamiltonian(p, float(k[0]), float(k[1]))
+    lam0 = complex(np.trace(h) / 2.0)
+    scale = max(1.0, float(np.linalg.norm(h)))
+    if np.linalg.norm(h - lam0 * np.eye(2)) <= NONDEFECTIVE_MATRIX_TOL * scale:
+        return lam0, "nondefective", 0.0
+    overlap = coalescence(h).overlap
+    return lam0, "defective" if overlap >= DEFECTIVE_OVERLAP_FLOOR else "unresolved", overlap
+
+
 def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
-                      tol: float = 1e-13, seed_threshold: float = 1e-2,
-                      dedup_radius: float = 1e-4, fold: bool = False) -> ScanResult:
+                      tol: float = 1e-13, dedup_radius: float = 1e-4,
+                      fold: bool = False) -> ScanResult:
     """Locate and classify all degeneracies of the Bloch matrix.
 
     Grid candidates come from simultaneous Re/Im sign-change cells and from
-    local minima of |eta| below ``seed_threshold``; each candidate is
-    Newton-refined until |eta| <= tol (non-converged candidates are dropped
-    and counted).  Refined points are deduplicated on the torus within
-    ``dedup_radius``, classified, and sorted by (kx, ky).  With ``fold``,
+    every local minimum of |eta|; each candidate is Newton-refined until
+    |eta| <= tol (non-converged candidates are dropped and counted).
+    Refined points are deduplicated on the torus within ``dedup_radius``
+    and classified; a point that is neither non-defective nor defective is
+    refined on the Pauli components and classified again, because eta can
+    vanish where the complex vector d does not.  Points are sorted by
+    (kx, ky).  With ``fold``,
     points equivalent under the reduced-zone shift (pi, pi) are merged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     fld = scan_discriminant(p, nx, ny)
     cells = _sign_change_cells(fld.values)
-    minima = _local_minima(np.abs(fld.values), seed_threshold)
+    minima = _local_minima(np.abs(fld.values), np.inf)
     dkx, dky = _TWO_PI / nx, _TWO_PI / ny
 
     seeds = []
@@ -316,22 +332,18 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     absf = absf[converged]
     iters = iters[converged]
 
-    keep = _dedup(refined, dedup_radius)
     points = []
-    for i in keep:
-        kx, ky = float(refined[i, 0]), float(refined[i, 1])
-        h = bloch_hamiltonian(p, kx, ky)
-        lam0 = complex(np.trace(h) / 2.0)
-        scale = max(1.0, float(np.linalg.norm(h)))
-        if np.linalg.norm(h - lam0 * np.eye(2)) <= NONDEFECTIVE_MATRIX_TOL * scale:
-            kind, overlap = "nondefective", 0.0
-        else:
-            overlap = coalescence(h).overlap
-            kind = "defective" if overlap >= DEFECTIVE_OVERLAP_FLOOR else "unresolved"
-        points.append(DegeneracyPoint(kx=kx, ky=ky, lambda0=lam0, kind=kind,
-                                      eta_residual=float(absf[i]),
+    for i in _dedup(refined, dedup_radius):
+        k, eta, n_iter = refined[i], absf[i], iters[i]
+        lam0, kind, overlap = _classify(p, k)
+        if kind == "unresolved":
+            k, eta, extra = _polish_dvec(p, k, tol)
+            k, n_iter = _wrap(k), n_iter + extra
+            lam0, kind, overlap = _classify(p, k)
+        points.append(DegeneracyPoint(kx=float(k[0]), ky=float(k[1]), lambda0=lam0,
+                                      kind=kind, eta_residual=float(eta),
                                       coalescence_overlap=float(overlap),
-                                      newton_iters=int(iters[i])))
+                                      newton_iters=int(n_iter)))
     if fold:
         points = fold_points(points, dedup_radius)
     points.sort(key=lambda q: (q.kx, q.ky))

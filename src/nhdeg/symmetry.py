@@ -65,14 +65,11 @@ class CompositeSymmetrySpec:
     """
 
     name: str
-    side: str
     reflect_y: bool = False
     parameter_map: str = "identity"
     site_phase: bool = False
 
     def __post_init__(self):
-        if self.side not in ("R", "L"):
-            raise ValueError(f"side must be 'R' or 'L', got {self.side!r}")
         if self.parameter_map not in ("identity", "swap_negate_diag"):
             raise ValueError(f"unknown parameter map {self.parameter_map!r}")
 
@@ -88,18 +85,17 @@ class SymmetryReport:
     grid_min_residual: float
     grid_min_k: tuple
     holds: bool
-    tolerance: float = HOLD_TOL
 
 
-def builtin_spec(name: str, side: str = "R") -> CompositeSymmetrySpec:
+def builtin_spec(name: str) -> CompositeSymmetrySpec:
     """Return one of the three built-in composite symmetry specs."""
     if name == "upsilon":
-        return CompositeSymmetrySpec(name=name, side=side)
+        return CompositeSymmetrySpec(name=name)
     if name == "upsilon_prime":
-        return CompositeSymmetrySpec(name=name, side=side, reflect_y=True,
+        return CompositeSymmetrySpec(name=name, reflect_y=True,
                                      parameter_map="swap_negate_diag")
     if name == "upsilon_doubleprime":
-        return CompositeSymmetrySpec(name=name, side=side, reflect_y=True,
+        return CompositeSymmetrySpec(name=name, reflect_y=True,
                                      parameter_map="swap_negate_diag",
                                      site_phase=True)
     raise ValueError(f"unknown symmetry {name!r}; choose from {BUILTIN_NAMES}")
@@ -171,27 +167,17 @@ def _operator_matrix(spec: CompositeSymmetrySpec, p: ModelParams,
                      nx: int, ny: int) -> np.ndarray:
     """Explicit matrix part of the composite operator on an nx-by-ny torus."""
     ncell = nx * ny
-    idx = lambda ix, iy: (iy % ny) * nx + (ix % nx)
-    P = np.zeros((ncell, ncell))
-    for ix in range(nx):
-        for iy in range(ny):
-            P[idx(ix + 1, iy), idx(ix, iy)] = 1.0
-    if spec.reflect_y:
-        R = np.zeros((ncell, ncell))
-        for ix in range(nx):
-            for iy in range(ny):
-                R[idx(ix, -iy), idx(ix, iy)] = 1.0
-        P = R @ P
-    A = np.zeros((2 * ncell, 2 * ncell), dtype=complex)
-    A[:ncell, ncell:] = P   # sublattice swap a <- b
-    A[ncell:, :ncell] = P
+    cell = np.arange(ncell)
+    iy, ix = np.divmod(cell, nx)
+    # cell (ix, iy) goes to (ix + 1, +-iy)
+    target = (-iy if spec.reflect_y else iy) % ny * nx + (ix + 1) % nx
+    phase_a = phase_b = 1.0
     if spec.site_phase:
-        phase = np.empty(ncell, dtype=complex)
-        for ix in range(nx):
-            for iy in range(ny):
-                phase[idx(ix, iy)] = np.exp(2j * p.gamma * (iy - ix))
-        D = np.concatenate([phase, phase * np.exp(-2j * p.gamma)])
-        A = np.diag(D) @ A
+        phase_a = np.exp(2j * p.gamma * (iy - ix))[target]
+        phase_b = phase_a * np.exp(-2j * p.gamma)
+    A = np.zeros((2 * ncell, 2 * ncell), dtype=complex)
+    A[target, ncell + cell] = phase_a   # sublattice swap a <- b
+    A[ncell + target, cell] = phase_b
     return A
 
 
@@ -213,8 +199,9 @@ def check_realspace(p: ModelParams, spec: CompositeSymmetrySpec,
                 raise ValueError(
                     f"site phases are incommensurate with {label}={n} at gamma={p.gamma}")
     A = _operator_matrix(spec, p, nx, ny)
+    pp = apply_parameter_map(spec, p)
     H = real_space_hamiltonian(p, nx, ny)
-    Hp = real_space_hamiltonian(apply_parameter_map(spec, p), nx, ny)
+    Hp = H if pp is p else real_space_hamiltonian(pp, nx, ny)
     scale = max(1.0, float(np.linalg.norm(H)))
     r_r = float(np.linalg.norm(H @ A - A @ Hp.T) / scale)
     r_l = float(np.linalg.norm(A @ np.conj(Hp) - H.conj().T @ A) / scale)
@@ -227,9 +214,8 @@ def check_realspace(p: ModelParams, spec: CompositeSymmetrySpec,
     )
 
 
-def pair_product_phase(spec_r: CompositeSymmetrySpec,
-                       spec_l: CompositeSymmetrySpec, k) -> complex:
-    """Bloch phase of the composed right/left pair at momentum k.
+def pair_product_phase(spec: CompositeSymmetrySpec, k) -> complex:
+    """Bloch phase of the spec's composed right/left pair at momentum k.
 
     The pair composes to a pure two-step translation, times -1 when the
     sublattice swap has to pass the reflection (they anticommute on the
@@ -238,15 +224,9 @@ def pair_product_phase(spec_r: CompositeSymmetrySpec,
     it equals -1 at the protected momenta: X for upsilon, M for
     upsilon_prime and Gamma for upsilon_doubleprime.
     """
-    if spec_r.name != spec_l.name:
-        raise ValueError(
-            f"not an R/L pair: {spec_r.name!r} vs {spec_l.name!r}; "
-            "composition is not a pure translation")
-    if {spec_r.side, spec_l.side} != {"R", "L"}:
-        raise ValueError("need one R spec and one L spec")
     kx, _ = k
-    sign = -1.0 if spec_r.reflect_y else 1.0
-    # each side translates one cell along x
+    sign = -1.0 if spec.reflect_y else 1.0
+    # each operator of the pair translates one cell along x
     angle = -kx * 2
     # exact values at the quarter turns, where the protected momenta sit
     quarter = angle / (np.pi / 2)
@@ -264,7 +244,7 @@ def symmetry_survey(p: ModelParams, nx: int = 32, ny: int = 32) -> dict:
     """
     from .model import X1_POINTS, X2_POINTS, discriminant_function
 
-    reports = {name: check_bloch(p, builtin_spec(name, "R"), nx, ny)
+    reports = {name: check_bloch(p, builtin_spec(name), nx, ny)
                for name in BUILTIN_NAMES}
     eta_x1 = complex(discriminant_function(p, *X1_POINTS[0]))
     eta_x2 = complex(discriminant_function(p, *X2_POINTS[0]))

@@ -86,3 +86,35 @@ def real_space_hamiltonian_loops(p, nx, ny, bc=("periodic", "periodic"),
                     continue
                 H[r * ncell + iy * nx + ix, c * ncell + jy * nx + jx] += amp
     return H
+
+
+def operator_matrix_loops(spec, p, nx, ny):
+    """Per-cell loop form of ``symmetry._operator_matrix`` (byte oracle).
+
+    Builds the one-cell x translation P, the y mirror R and the site-phase
+    diagonal D as separate matrices and returns D (R P on each sublattice
+    block, swapped).
+    """
+    ncell = nx * ny
+    idx = lambda ix, iy: (iy % ny) * nx + (ix % nx)
+    P = np.zeros((ncell, ncell))
+    for ix in range(nx):
+        for iy in range(ny):
+            P[idx(ix + 1, iy), idx(ix, iy)] = 1.0
+    if spec.reflect_y:
+        R = np.zeros((ncell, ncell))
+        for ix in range(nx):
+            for iy in range(ny):
+                R[idx(ix, -iy), idx(ix, iy)] = 1.0
+        P = R @ P
+    A = np.zeros((2 * ncell, 2 * ncell), dtype=complex)
+    A[:ncell, ncell:] = P
+    A[ncell:, :ncell] = P
+    if spec.site_phase:
+        phase = np.empty(ncell, dtype=complex)
+        for ix in range(nx):
+            for iy in range(ny):
+                phase[idx(ix, iy)] = np.exp(2j * p.gamma * (iy - ix))
+        D = np.concatenate([phase, phase * np.exp(-2j * p.gamma)])
+        A = np.diag(D) @ A
+    return A

@@ -144,15 +144,11 @@ def test_criterion_05_symmetry_verification():
                     assert max(rep_b.right_residual, rep_b.left_residual) < 1e-10
     assert n_holding > 0
     prods = {
-        "upsilon@X": pair_product_phase(builtin_spec("upsilon", "R"),
-                                        builtin_spec("upsilon", "L"),
+        "upsilon@X": pair_product_phase(builtin_spec("upsilon"),
                                         (np.pi / 2, np.pi / 2)),
-        "prime@M": pair_product_phase(builtin_spec("upsilon_prime", "R"),
-                                      builtin_spec("upsilon_prime", "L"),
-                                      (np.pi, 0.0)),
-        "dprime@Gamma": pair_product_phase(
-            builtin_spec("upsilon_doubleprime", "R"),
-            builtin_spec("upsilon_doubleprime", "L"), (0.0, 0.0)),
+        "prime@M": pair_product_phase(builtin_spec("upsilon_prime"), (np.pi, 0.0)),
+        "dprime@Gamma": pair_product_phase(builtin_spec("upsilon_doubleprime"),
+                                           (0.0, 0.0)),
     }
     assert all(v == -1.0 for v in prods.values()), prods
     announce(5, True, f"verdicts agree on 60 draws x 3 operators; "

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +275,33 @@ def test_cli_phases(tmp_path, gapped_file):
     # numeric fields are plain float reprs, not numpy scalar reprs
     for ln in lines[2:]:
         assert all(math.isfinite(float(f)) for f in ln.split(",")[:4])
+
+
+def readme_cli_recipes():
+    """The README's `nhdeg` command lines and its example parameter file."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(\w*)\n(.*?)```", text, re.S)
+    lines = [line for lang, body in blocks if lang == "sh"
+             for line in body.splitlines() if line.startswith("nhdeg ")]
+    params = [body for lang, body in blocks if not lang and "t1 =" in body]
+    return lines, params
+
+
+def test_readme_cli_recipes_run(tmp_path, monkeypatch):
+    lines, params = readme_cli_recipes()
+    assert len(lines) == 5 and len(params) == 1
+    (tmp_path / "params.txt").write_text(params[0])
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "bands.csv", "degeneracies.json", "field.csv", "localization.json",
+        "phases.csv", "symmetry.json", "theorem.json"]
+
+
+def test_cli_phases_help_states_its_parameters(capsys):
+    assert main(["phases", "--help"]) == 0
+    assert "0 < gamma < pi/2 and gx = gy = 0" in capsys.readouterr().out
 
 
 def test_cli_phases_t1_zero_single_phase(tmp_path):

@@ -153,6 +153,43 @@ def test_regime2_boundary_recovers_x2_points():
     assert not res.defective
 
 
+COARSE = (41, 51, 61, 81, 101)
+
+
+@pytest.mark.parametrize("n", COARSE)
+def test_coarse_grids_find_every_pinned_point(n):
+    # the grid |eta| next to these points stays far above zero on coarse
+    # grids (0.07 near X at 41^2), so every local minimum must be seeded
+    pinned = ModelParams(gamma=0.5, gx=0.5, gy=0.3)
+    res = find_degeneracies(pinned, n, n)
+    assert len(res.nondefective) == 4 and not res.defective
+    assert all(nearest_target(q, X_TARGETS) < 1e-6 for q in res.points)
+    for gamma, targets in ((0.0, [(np.pi, 0.0), (0.0, np.pi)]),
+                           (np.pi / 2, [(0.0, 0.0), (np.pi, np.pi)])):
+        res = find_degeneracies(ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=gamma), n, n)
+        assert len(res.nondefective) == 2 and len(res.defective) == 4
+        assert not res.unresolved
+        assert all(nearest_target(q, targets) < 1e-6 for q in res.nondefective)
+    p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
+    res = find_degeneracies(p.replace(v=phase_boundaries(p)[1]), n, n)
+    x2 = [(np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2)]
+    assert len(res.nondefective) == 2 and not res.defective and not res.unresolved
+    assert all(nearest_target(q, x2) < 1e-6 for q in res.nondefective)
+
+
+def test_gap_closure_point_left_on_a_zero_of_eta_is_polished():
+    # eta-Newton stops at |eta| ~ 5e-14 about 3e-7 from each X2 point, where
+    # eta = 4 d.d vanishes but d does not; refining d itself lands on X2
+    p = ModelParams(t1=0.78, ga=0.55, gb=0.13, gamma=0.31)
+    res = find_degeneracies(p.replace(v=phase_boundaries(p)[1]), 301, 301)
+    x2 = [(np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2)]
+    assert not res.unresolved and not res.defective
+    assert len(res.nondefective) == 2
+    for q in res.nondefective:
+        assert nearest_target(q, x2) < 1e-12
+        assert q.eta_residual < 1e-25
+
+
 def test_refinement_grid_independent():
     p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.0)
     res_a = find_degeneracies(p, 201, 201)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from _oracles import operator_matrix_loops
 
+import nhdeg.symmetry
 from nhdeg.model import ModelParams, bloch_hamiltonian
-from nhdeg.symmetry import (BUILTIN_NAMES, _momentum_action, _spinor_part,
-                            apply_parameter_map, builtin_spec, check_bloch,
-                            check_realspace, pair_product_phase,
+from nhdeg.symmetry import (BUILTIN_NAMES, _momentum_action, _operator_matrix,
+                            _spinor_part, apply_parameter_map, builtin_spec,
+                            check_bloch, check_realspace, pair_product_phase,
                             symmetry_survey)
 
 REGIME1 = ModelParams(gamma=0.5, gx=0.5, gy=0.3)
@@ -37,13 +39,13 @@ def realspace_verdict(p, spec, nx=4, ny=4):
 
 
 def test_builtin_spec_contents():
-    up = builtin_spec("upsilon", "R")
+    up = builtin_spec("upsilon")
     assert not up.reflect_y
     assert up.parameter_map == "identity"
-    pr = builtin_spec("upsilon_prime", "R")
+    pr = builtin_spec("upsilon_prime")
     assert pr.reflect_y and pr.parameter_map == "swap_negate_diag"
-    dp = builtin_spec("upsilon_doubleprime", "L")
-    assert dp.site_phase and dp.side == "L"
+    dp = builtin_spec("upsilon_doubleprime")
+    assert dp.site_phase
     with pytest.raises(ValueError):
         builtin_spec("upsilon_triple")
 
@@ -133,6 +135,50 @@ def test_realspace_matches_regime1():
     assert max(rep.right_residual, rep.left_residual) < 1e-10
 
 
+TORI = ((2, 2), (2, 5), (4, 4), (4, 6), (6, 4), (8, 8))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_operator_matrix_matches_loop_oracle(name):
+    # byte for byte, on seeded parameters with every field set; the builder
+    # does not check commensurability, so any gamma will do
+    spec = builtin_spec(name)
+    rng = np.random.default_rng(7)
+    for trial in range(8):
+        p = draw_params(rng, 0)
+        if trial % 2:
+            p = p.replace(gamma=float(rng.choice([0.0, np.pi / 2, np.pi / 4])))
+        for nx, ny in TORI:
+            got = _operator_matrix(spec, p, nx, ny)
+            want = operator_matrix_loops(spec, p, nx, ny)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (name, p, nx, ny)
+
+
+@pytest.mark.parametrize("name,builds", [
+    ("upsilon", 1), ("upsilon_prime", 2), ("upsilon_doubleprime", 2)])
+def test_realspace_builds_the_torus_once_for_the_identity_map(monkeypatch, name, builds):
+    calls = []
+    build = nhdeg.symmetry.real_space_hamiltonian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(nhdeg.symmetry, "real_space_hamiltonian", counting)
+    rep = check_realspace(REGIME3_GP, builtin_spec(name), 4, 4)
+    assert len(calls) == builds
+    monkeypatch.undo()
+    # the shared build gives the residuals of two separate builds
+    H = build(REGIME3_GP, 4, 4)
+    A = _operator_matrix(builtin_spec(name), REGIME3_GP, 4, 4)
+    Hp = build(apply_parameter_map(builtin_spec(name), REGIME3_GP), 4, 4)
+    scale = max(1.0, float(np.linalg.norm(H)))
+    assert rep.right_residual == float(np.linalg.norm(H @ A - A @ Hp.T) / scale)
+    assert rep.left_residual == float(np.linalg.norm(A @ np.conj(Hp) - H.conj().T @ A)
+                                      / scale)
+
+
 def test_realspace_requires_even_nx():
     with pytest.raises(ValueError):
         check_realspace(REGIME1, builtin_spec("upsilon"), 3, 4)
@@ -174,18 +220,8 @@ def test_pair_product_phases():
         ("upsilon_prime", (np.pi, 0.0), -1.0),
         ("upsilon_doubleprime", (0.0, 0.0), -1.0),
     ]:
-        val = pair_product_phase(builtin_spec(name, "R"),
-                                 builtin_spec(name, "L"), k)
+        val = pair_product_phase(builtin_spec(name), k)
         assert val == expected
-
-
-def test_pair_product_requires_matching_pair():
-    with pytest.raises(ValueError):
-        pair_product_phase(builtin_spec("upsilon", "R"),
-                           builtin_spec("upsilon_prime", "L"), (0, 0))
-    with pytest.raises(ValueError):
-        pair_product_phase(builtin_spec("upsilon", "R"),
-                           builtin_spec("upsilon", "R"), (0, 0))
 
 
 def test_survey_regimes():

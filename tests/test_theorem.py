@@ -203,6 +203,25 @@ def test_ensemble_small_run_and_defective_injection():
     assert bad["rejected_defective"] == 10
 
 
+def test_ensemble_folds_the_per_trial_worst_residuals():
+    # the ensemble maxima are the maxima of each trial's max_residuals
+    dims, seed = (2, 3, 5), 3
+    rep = run_ensemble(dims=dims, trials=9, seed=seed)
+    want = dict.fromkeys(rep["max_residuals"], 0.0)
+    for trial in range(9):
+        trial_rng = np.random.default_rng(seed + 7919 * trial)
+        lam0 = complex(trial_rng.uniform(-1, 1), trial_rng.uniform(-1, 1))
+        H = random_degenerate_hamiltonian(dims[trial % 3], seed + trial, lam0)
+        one = theorem_report(H, lambda0=lam0)
+        assert list(one["max_residuals"]) == list(want)
+        assert one["max_residual"] == max(one["max_residuals"].values())
+        assert one["max_residuals"]["intertwining"] == max(
+            one["intertwining"]["right_residual"], one["intertwining"]["left_residual"])
+        for check, value in one["max_residuals"].items():
+            want[check] = max(want[check], value)
+    assert rep["max_residuals"] == want
+
+
 def test_ensemble_zero_trials():
     # an empty ensemble verifies nothing, so it must not report a pass
     with pytest.raises(ValueError, match="trial"):
