@@ -169,7 +169,13 @@ def cmd_ribbon(args) -> int:
         "skin_metric_k0": skin_metric(p, args.axis, skin_band),
         "edge_mode_sides": {},
     }
-    mid = min(bands, key=lambda b: abs(abs(b.transverse_k) - np.pi / 2))
+    # the edge pair crosses at |k| = pi/2, where it can hybridize, so its sides
+    # are read at the nearest grid momentum off the crossing but within pi/4
+    # of it (the edge pair has left the gap by pi/2 away), else at the nearest
+    # one, the first on a tie; d = ||4i - 2nk| - nk| is 4 ||k_i| - pi/2| / dk
+    nk = args.k_samples
+    dist = [(abs(abs(4 * i - 2 * nk) - nk), i) for i in range(nk)]
+    mid = bands[min([(d, i) for d, i in dist if 0 < 2 * d <= nk] or dist)[1]]
     order = np.argsort(np.abs(mid.eigenvalues))[:2]
     loc_payload["edge_mode_sides"] = {
         str(int(n)): asdict(localization(mid.eigenvectors[:, int(n)], args.n_cells))
@@ -229,7 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(f)
     f.set_defaults(func=cmd_phases)
 
-    r = sub.add_parser("ribbon", help="ribbon spectra and localization")
+    ribbon_help = ("ribbon spectra and localization; edge_mode_sides are read at the "
+                   "sampled momentum nearest |k| = pi/2 but not on it, since the edge "
+                   "modes cross at |k| = pi/2 and can hybridize there (a grid with no "
+                   "such momentum within pi/4, such as --k-samples 4, reads the "
+                   "crossing)")
+    r = sub.add_parser("ribbon", help="ribbon spectra and localization",
+                       description=ribbon_help)
     r.add_argument("--params", required=True)
     r.add_argument("--axis", choices=("x", "y"), default="x")
     r.add_argument("--n-cells", type=_count, default=30)

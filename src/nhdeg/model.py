@@ -89,11 +89,6 @@ class ModelParams:
     def replace(self, **kw) -> "ModelParams":
         return replace(self, **kw)
 
-    def is_hermitian(self) -> bool:
-        """True when the Bloch matrix is Hermitian for every momentum."""
-        return (self.gx == self.gy == self.ga == self.gb == 0.0
-                and self.mu_a == self.mu_b == 0.0)
-
 
 # ---------------------------------------------------------------------------
 # the hop table: the one definition of the model

@@ -52,6 +52,12 @@ __all__ = [
 
 # requested momenta closer than this (modulo pi) share one solve
 _SAME_K_TOL = 1e-12
+# samples along the open axis for the bulk gap
+_GAP_NK = 301
+# states this close to a gap edge do not count as in the gap
+_GAP_MARGIN = 1e-9
+# the zero-mode pair is absent when an eigenvalue lies farther from zero
+_ZERO_WINDOW = 0.5
 
 
 @dataclass
@@ -183,15 +189,15 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int,
     return bands
 
 
-def bulk_gap_interval(p: ModelParams, open_axis: str, transverse_k: float,
-                      nk: int = 301) -> tuple[float, float]:
+def bulk_gap_interval(p: ModelParams, open_axis: str,
+                      transverse_k: float) -> tuple[float, float]:
     """Real-part gap of the periodic bulk bands at fixed transverse momentum.
 
     Returns (lower, upper) with lower = max Re of the minus band and upper
     = min Re of the plus band over the momentum along the open axis; an
     empty or inverted interval means no gap.
     """
-    ks = _k_grid(nk)
+    ks = _k_grid(_GAP_NK)
     if open_axis == "x":
         plus, minus = dispersion(p, ks, transverse_k)
     else:
@@ -202,28 +208,27 @@ def bulk_gap_interval(p: ModelParams, open_axis: str, transverse_k: float,
     return float(lo), float(hi)
 
 
-def in_gap_indices(band: RibbonBand, gap: tuple[float, float],
-                   margin: float = 1e-9) -> list:
+def in_gap_indices(band: RibbonBand, gap: tuple[float, float]) -> list:
     """Indices of ribbon states whose Re eigenvalue lies inside the bulk gap."""
     lo, hi = gap
-    if hi - lo <= margin:
+    if hi - lo <= _GAP_MARGIN:
         return []
     return [n for n, ev in enumerate(band.eigenvalues)
-            if lo + margin < ev.real < hi - margin]
+            if lo + _GAP_MARGIN < ev.real < hi - _GAP_MARGIN]
 
 
-def obc_defective_check(band: RibbonBand, zero_window: float = 0.5) -> ZeroModePairReport:
+def obc_defective_check(band: RibbonBand) -> ZeroModePairReport:
     """Coalescence overlap of the two ribbon eigenvalues nearest zero.
 
     The overlap |<v1|v2>| of the unit-normalized eigenvectors approaches 1
     at an open-boundary defective point and stays near 0 for an independent
     pair (for instance hybridized edge modes).  When no eigenvalue lies
-    within ``zero_window`` of zero the pair is reported absent.
+    within ``_ZERO_WINDOW`` of zero the pair is reported absent.
     """
     order = np.argsort(np.abs(band.eigenvalues))
     i1, i2 = int(order[0]), int(order[1])
     pair = (complex(band.eigenvalues[i1]), complex(band.eigenvalues[i2]))
-    absent = max(abs(pair[0]), abs(pair[1])) > zero_window
+    absent = max(abs(pair[0]), abs(pair[1])) > _ZERO_WINDOW
     v1 = band.eigenvectors[:, i1] / np.linalg.norm(band.eigenvectors[:, i1])
     v2 = band.eigenvectors[:, i2] / np.linalg.norm(band.eigenvectors[:, i2])
     overlap = float(min(abs(np.vdot(v1, v2)), 1.0))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import coalescence
+from .linalg import eigensystem_n
 from .model import (ModelParams, _d_components, _k_grid, bloch_hamiltonian,
                     discriminant_function, dispersion)
 
@@ -39,6 +39,8 @@ __all__ = [
 # classification thresholds (see DegeneracyPoint)
 NONDEFECTIVE_MATRIX_TOL = 1e-8
 DEFECTIVE_OVERLAP_FLOOR = 1.0 - 1e-6
+# refined points closer than this on the torus are one point
+_DEDUP_RADIUS = 1e-4
 
 _TWO_PI = 2.0 * np.pi
 
@@ -54,7 +56,6 @@ class ScalarField:
     kx: np.ndarray
     ky: np.ndarray
     values: np.ndarray
-    label: str = "eta"
 
     @property
     def nx(self) -> int:
@@ -276,10 +277,16 @@ def _torus_dist(a, b):
     return np.hypot(d[..., 0], d[..., 1])
 
 
-def _dedup(points: np.ndarray, radius: float):
+def _dedup(points: np.ndarray, fold: bool = False):
+    """Indices of the points that survive a torus dedup within ``_DEDUP_RADIUS``.
+
+    A point is kept when it lies farther than the radius from every point
+    kept before it; with ``fold`` its (pi, pi) image must as well.
+    """
     keep = []
-    for i in range(len(points)):
-        if all(_torus_dist(points[i], points[j]) > radius for j in keep):
+    for i, q in enumerate(points):
+        images = (q, _wrap(q + np.pi)) if fold else (q,)
+        if all((_torus_dist(a, points[keep]) > _DEDUP_RADIUS).all() for a in images):
             keep.append(i)
     return keep
 
@@ -291,19 +298,19 @@ def _classify(p: ModelParams, k):
     scale = max(1.0, float(np.linalg.norm(h)))
     if np.linalg.norm(h - lam0 * np.eye(2)) <= NONDEFECTIVE_MATRIX_TOL * scale:
         return lam0, "nondefective", 0.0
-    overlap = coalescence(h).overlap
+    r = eigensystem_n(h, want_left=False).right  # unit columns
+    overlap = min(abs(np.vdot(r[:, 0], r[:, 1])), 1.0)
     return lam0, "defective" if overlap >= DEFECTIVE_OVERLAP_FLOOR else "unresolved", overlap
 
 
 def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
-                      tol: float = 1e-13, dedup_radius: float = 1e-4,
-                      fold: bool = False) -> ScanResult:
+                      tol: float = 1e-13, fold: bool = False) -> ScanResult:
     """Locate and classify all degeneracies of the Bloch matrix.
 
     Grid candidates come from simultaneous Re/Im sign-change cells and from
     every local minimum of |eta|; each candidate is Newton-refined until
     |eta| <= tol (non-converged candidates are dropped and counted).
-    Refined points are deduplicated on the torus within ``dedup_radius``
+    Refined points are deduplicated on the torus within ``_DEDUP_RADIUS``
     and classified; a point that is neither non-defective nor defective is
     refined on the Pauli components and classified again, because eta can
     vanish where the complex vector d does not.  Points are sorted by
@@ -333,7 +340,7 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     iters = iters[converged]
 
     points = []
-    for i in _dedup(refined, dedup_radius):
+    for i in _dedup(refined):
         k, eta, n_iter = refined[i], absf[i], iters[i]
         lam0, kind, overlap = _classify(p, k)
         if kind == "unresolved":
@@ -345,23 +352,16 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
                                       coalescence_overlap=float(overlap),
                                       newton_iters=int(n_iter)))
     if fold:
-        points = fold_points(points, dedup_radius)
+        points = fold_points(points)
     points.sort(key=lambda q: (q.kx, q.ky))
     return ScanResult(points=points, n_candidates=len(seeds), n_dropped=n_dropped,
                       field=fld)
 
 
-def fold_points(points, radius: float = 1e-4):
+def fold_points(points):
     """Merge degeneracy points equivalent under the (pi, pi) zone folding."""
-    kept = []
-    for q in points:
-        partner = np.array([_wrap(np.array([q.kx + np.pi, q.ky + np.pi]))])
-        dup = any(_torus_dist(partner[0], np.array([r.kx, r.ky])) < radius
-                  or _torus_dist(np.array([q.kx, q.ky]), np.array([r.kx, r.ky])) < radius
-                  for r in kept)
-        if not dup:
-            kept.append(q)
-    return kept
+    ks = np.array([(q.kx, q.ky) for q in points]).reshape(-1, 2)
+    return [points[i] for i in _dedup(ks, fold=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +395,11 @@ def _marching_squares(kx, ky, values, zero_tol):
     iy, ix = np.nonzero((code != 0) & (code != 15))
     code = code[iy, ix]
     c = values[iy[:, None] + _CORNER_DY, ix[:, None] + _CORNER_DX]
-    # saddle: disambiguate with the cell-center average
+    # saddle: a cell-center average above zero_tol joins the two above corners
+    # through the cell (15 - code cuts off the other pair)
     center = (c[:, 0] + c[:, 1] + c[:, 2] + c[:, 3]) / 4.0
     saddle = (code == 5) | (code == 10)
-    code = np.where(saddle, np.where(center > zero_tol, 5, 10), code)
+    code = np.where(saddle & (center > zero_tol), 15 - code, code)
     cell = np.repeat(np.arange(len(code)), 1 + saddle)
     second = (np.diff(cell, prepend=-1) == 0).astype(int)  # a saddle's second segment
     e = _SEGMENTS[code[cell], second]
@@ -521,8 +522,7 @@ def fermi_curves(p: ModelParams, nx: int = 301, ny: int = 301,
     plus, minus = dispersion(p, kx[None, :], ky[:, None])
     eps = plus if band == "+" else minus
     comp = eps.real if which == "re" else eps.imag
-    fld = ScalarField(kx=kx, ky=ky, values=comp.astype(complex),
-                      label=f"{which}_eps_{band}")
+    fld = ScalarField(kx=kx, ky=ky, values=comp.astype(complex))
     curve = zero_curves(fld, "field")
     curve.which = f"{'Re' if which == 're' else 'Im'}_energy"
     return curve

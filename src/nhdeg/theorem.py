@@ -39,6 +39,9 @@ __all__ = [
     "run_ensemble",
 ]
 
+# eigenvalues closer than this times norm(H) form one cluster
+_CLUSTER_TOL = 1e-7
+
 
 @dataclass
 class DegenerateSubspace:
@@ -91,11 +94,10 @@ class AntiunitaryOperator:
 
 
 def extract_degenerate_subspace(H, eigsys: Eigensystem | None = None,
-                                lambda0: complex | None = None,
-                                cluster_tol: float = 1e-7) -> DegenerateSubspace:
+                                lambda0: complex | None = None) -> DegenerateSubspace:
     """Locate a twofold degenerate eigenvalue of H and return its subspace.
 
-    Eigenvalues within ``cluster_tol * norm(H)`` of each other form a
+    Eigenvalues within ``_CLUSTER_TOL * norm(H)`` of each other form a
     cluster; the unique cluster of size two is used unless ``lambda0``
     selects one explicitly.  The pair is re-biorthogonalized through its
     2x2 Gram system, since a dense solver returns an arbitrary mixture for
@@ -107,7 +109,7 @@ def extract_degenerate_subspace(H, eigsys: Eigensystem | None = None,
         raise ValueError("eigensystem is defective: no biorthogonal basis")
     lam = es.eigenvalues
     scale = max(1.0, float(np.linalg.norm(H)))
-    radius = cluster_tol * scale
+    radius = _CLUSTER_TOL * scale
 
     clusters = []
     start = 0

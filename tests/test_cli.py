@@ -299,6 +299,30 @@ def test_readme_cli_recipes_run(tmp_path, monkeypatch):
         "phases.csv", "symmetry.json", "theorem.json"]
 
 
+def test_readme_library_tour_runs(tmp_path):
+    # a fresh interpreter, so a public name the tour uses cannot go stale
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tours = [body for lang, body in re.findall(r"```(\w*)\n(.*?)```", text, re.S)
+             if lang == "python"]
+    assert len(tours) == 1
+    src = str(Path(nhdeg.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r})\n" + tours[0]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_topological_ribbon_edge_modes_on_both_sides(tmp_path):
+    # at the default width the pair hybridizes on the crossing |k| = pi/2
+    # itself, so the sides are read one grid step off it
+    (tmp_path / "params.txt").write_text(readme_cli_recipes()[1][0])
+    out = tmp_path / "out"
+    assert main(["ribbon", "--params", str(tmp_path / "params.txt"), "--axis", "y",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "localization.json").read_text())
+    assert sorted(v["side"] for v in doc["edge_mode_sides"].values()) == ["left", "right"]
+
+
 def test_cli_phases_help_states_its_parameters(capsys):
     assert main(["phases", "--help"]) == 0
     assert "0 < gamma < pi/2 and gx = gy = 0" in capsys.readouterr().out

@@ -6,106 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import match_eigenvalue_multisets
-from nhdeg.linalg import (CoalescenceReport, coalescence, discriminant,
-                          eigensystem2, eigensystem_n)
+from nhdeg.linalg import eigensystem_n
 
 
 def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-# ---------------------------------------------------------------------------
-# discriminant
-
-def test_discriminant_identity_matrix():
-    # equal eigenvalues: tr^2 - 4 det = 4 - 4
-    assert discriminant(np.eye(2)) == 0
-
-
-def test_discriminant_jordan_block():
-    assert discriminant([[0, 1], [0, 0]]) == 0
-
-
-def test_discriminant_offdiagonal():
-    # characteristic polynomial l^2 - 16 has roots +-4, (l+ - l-)^2 = 64
-    assert discriminant([[0, -4], [-4, 0]]) == pytest.approx(64)
-
-
-def test_discriminant_rejects_non_2x2():
-    with pytest.raises(ValueError):
-        discriminant(np.eye(3))
-    with pytest.raises(ValueError):
-        discriminant([[np.inf, 0], [0, 1]])
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(0, 2**32 - 1))
-def test_discriminant_equals_square_of_eigenvalue_gap(seed):
-    rng = np.random.default_rng(seed)
-    h = random_complex(rng, (2, 2))
-    lam = np.linalg.eigvals(h)
-    gap2 = (lam[0] - lam[1]) ** 2
-    np.testing.assert_allclose(discriminant(h), gap2, rtol=1e-10, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# eigensystem2
-
-def test_eigensystem2_offdiagonal_known_vectors():
-    # direct substitution oracle: h v = lam v for v ~ (1, -+1)
-    es = eigensystem2([[0, -4], [-4, 0]])
-    np.testing.assert_allclose(es.eigenvalues, [-4, 4])
-    h = np.array([[0, -4], [-4, 0]], dtype=complex)
-    for n in range(2):
-        v = es.right[:, n]
-        np.testing.assert_allclose(h @ v, es.eigenvalues[n] * v, atol=1e-12)
-        ratio = v[1] / v[0]
-        expected = -1.0 if es.eigenvalues[n] == 4 else 1.0
-        assert ratio == pytest.approx(-expected * -1)
-
-
-def test_eigensystem2_scalar_matrix_is_nondefective():
-    lam0 = 0.3 - 0.7j
-    es = eigensystem2(lam0 * np.eye(2))
-    np.testing.assert_allclose(es.eigenvalues, [lam0, lam0])
-    assert not es.defective
-    gram = es.left.conj().T @ es.right
-    np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
-
-
-def test_eigensystem2_zero_matrix():
-    es = eigensystem2(np.zeros((2, 2)))
-    np.testing.assert_allclose(es.eigenvalues, [0, 0])
-    assert not es.defective
-
-
-def test_eigensystem2_defective_flag():
-    es = eigensystem2([[0, 1], [0, 0]])
-    assert es.defective
-    np.testing.assert_allclose(es.eigenvalues, [0, 0], atol=1e-15)
-
-
-def test_eigensystem2_biorthogonality_random():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        h = random_complex(rng, (2, 2))
-        es = eigensystem2(h)
-        if es.defective:
-            continue
-        gram = es.left.conj().T @ es.right
-        np.testing.assert_allclose(gram, np.eye(2), atol=1e-9)
-        # right vectors stay unit norm, only the left ones get rescaled
-        np.testing.assert_allclose(np.linalg.norm(es.right, axis=0), 1.0,
-                                   atol=1e-12)
-
-
-def test_eigensystem2_agrees_with_dense_solver():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        h = random_complex(rng, (2, 2))
-        lam_analytic = eigensystem2(h).eigenvalues
-        lam_dense = eigensystem_n(h).eigenvalues
-        assert match_eigenvalue_multisets(lam_analytic, lam_dense) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -227,38 +132,15 @@ def test_eigensystem_n_dimension_cap():
 # ---------------------------------------------------------------------------
 # coalescence
 
-def test_coalescence_jordan_block():
-    rep = coalescence([[0, 1], [0, 0]])
-    assert rep.overlap == pytest.approx(1.0)
-    assert rep.biorth_norm == pytest.approx(0.0, abs=1e-12)
-
-
-def test_coalescence_orthogonal_eigenvectors():
-    rep = coalescence([[1, 0], [0, -1]])
-    assert rep.overlap == pytest.approx(0.0, abs=1e-14)
-
-
-def test_coalescence_explicit_pair_and_zero_vector():
-    rep = coalescence((np.array([1.0, 0, 0]), np.array([0.6, 0.8, 0])))
-    assert isinstance(rep, CoalescenceReport)
-    assert rep.overlap == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        coalescence((np.zeros(3), np.ones(3)))
-
-
-def test_coalescence_list_is_a_matrix():
-    # only a tuple is a vector pair; a list of two 3-vectors is a 2x3 matrix
-    with pytest.raises(ValueError):
-        coalescence([[1.0, 0, 0], [0.6, 0.8, 0]])
-
-
 def test_coalescence_rises_to_one_across_exceptional_curve():
     # scan oracle: nearest-neighbor model at zero Peierls phase has curves of
     # defective touchings; locate one crossing on a path by bisecting the
-    # (real) discriminant, then watch the overlap approach 1 there
+    # (real) discriminant, then watch the overlap that classifies scan points
+    # approach 1 there
     from scipy.optimize import brentq
 
-    from nhdeg.model import ModelParams, bloch_hamiltonian, discriminant_function
+    from nhdeg.model import ModelParams, discriminant_function
+    from nhdeg.scanner import _classify
 
     p = ModelParams(gamma=0.0, gx=0.5, gy=0.3)
     kx = 1.2
@@ -267,8 +149,8 @@ def test_coalescence_rises_to_one_across_exceptional_curve():
         return float(np.real(discriminant_function(p, kx, ky)))
 
     ky_cross = brentq(eta_re, 1.0, 1.95)
-    on = coalescence(bloch_hamiltonian(p, kx, ky_cross)).overlap
-    off = coalescence(bloch_hamiltonian(p, kx, ky_cross - 0.5)).overlap
+    on = _classify(p, (kx, ky_cross))[2]
+    off = _classify(p, (kx, ky_cross - 0.5))[2]
     assert on > 0.999
     assert off < 0.9
 
@@ -284,17 +166,9 @@ def _layouts(h):
 @pytest.mark.parametrize("seed", range(5))
 def test_non_contiguous_input_matches_c_ordered_copy(seed):
     rng = np.random.default_rng(seed)
-    h2 = random_complex(rng, (2, 2))
-    c2, t2, f2 = _layouts(h2)
-    assert not t2.flags.c_contiguous and not f2.flags.c_contiguous
-    for other in (t2, f2):
-        assert discriminant(other) == discriminant(c2)
-        es, ref = eigensystem2(other), eigensystem2(c2)
-        assert np.array_equal(es.eigenvalues, ref.eigenvalues)
-        assert np.array_equal(es.right, ref.right) and np.array_equal(es.left, ref.left)
-        assert coalescence(other) == coalescence(c2)
     h = random_complex(rng, (6, 6))
     c, t, f = _layouts(h)
+    assert not t.flags.c_contiguous and not f.flags.c_contiguous
     ref = eigensystem_n(c)
     for other in (t, f):
         es = eigensystem_n(other)
@@ -308,6 +182,5 @@ def test_non_finite_entries_raise(bad, imag):
     h = np.eye(2, dtype=complex)
     h[0, 1] = complex(0.0, bad) if imag else complex(bad, 0.0)
     for layout in _layouts(h):
-        for fn in (discriminant, eigensystem2, eigensystem_n, coalescence):
-            with pytest.raises(ValueError, match="finite"):
-                fn(layout)
+        with pytest.raises(ValueError, match="finite"):
+            eigensystem_n(layout)

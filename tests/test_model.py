@@ -212,14 +212,14 @@ def test_weyl_dispersion_precondition():
         weyl_dispersion(ModelParams(ga=0.5), 0, 0)
 
 
-def test_dispersion_matches_eigensystem2():
-    from nhdeg.linalg import eigensystem2
+def test_dispersion_matches_eigensystem_n():
+    from nhdeg.linalg import eigensystem_n
     rng = np.random.default_rng(4)
     for _ in range(20):
         p = random_params(rng)
         kx, ky = rng.uniform(-np.pi, np.pi, 2)
         plus, minus = dispersion(p, kx, ky)
-        lams = eigensystem2(bloch_hamiltonian(p, kx, ky)).eigenvalues
+        lams = eigensystem_n(bloch_hamiltonian(p, kx, ky)).eigenvalues
         assert match_eigenvalue_multisets([plus, minus], lams) < 1e-10
 
 

@@ -338,12 +338,9 @@ def ref_marching_squares(kx, ky, values, zero_tol):
                     code |= 1 << b
             if code in (0, 15):
                 continue
-            if code in (5, 10):
-                center = sum(corners) / 4.0
-                if (code == 5) == (center > zero_tol):
-                    code = {5: 5, 10: 10}[code]
-                else:
-                    code = {5: 10, 10: 5}[code]
+            if code in (5, 10) and sum(corners) / 4.0 > zero_tol:
+                # the center joins the above corners: cut off the other pair
+                code = {5: 10, 10: 5}[code]
 
             def edge_point(e):
                 a, b_ = e, (e + 1) % 4
@@ -472,6 +469,15 @@ def test_marching_squares_matches_per_cell_reference():
             assert np.all(ids[2:] != ids[:-2])
             shared = np.flatnonzero(ids[1:] == ids[:-1])
             assert np.abs(ends[shared] - ends[shared + 1]).max(initial=0) < 1e-12
+
+
+def test_marching_squares_saddle_joins_corners_through_center():
+    # corners 0 and 2 above, center (2 - 1 + 2 - 1) / 4 = 0.5 above as well:
+    # the segments cut off the below corners 1 and 3
+    points, _ = _marching_squares(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                                  np.array([[2.0, -1.0], [-1.0, 2.0]]), 0.0)
+    np.testing.assert_allclose(points, [[[2 / 3, 0], [1, 1 / 3]],
+                                        [[1 / 3, 1], [0, 2 / 3]]], atol=1e-15)
 
 
 def test_zero_curves_match_reference_on_zero_free_fields():
