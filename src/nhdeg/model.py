@@ -79,10 +79,11 @@ class ModelParams:
     mu_b: float = 0.0
 
     def __post_init__(self):
-        vals = asdict(self)
-        for key, val in vals.items():
+        for key, val in asdict(self).items():
             if not math.isfinite(val):
                 raise ValueError(f"parameter {key} is not finite: {val!r}")
+            # a numpy scalar would be written back as np.float64(...)
+            object.__setattr__(self, key, float(val))
         if self.t <= 0:
             raise ValueError(f"t must be positive (energy unit), got {self.t}")
 
@@ -186,15 +187,17 @@ def bloch_hamiltonian(p: ModelParams, kx, ky) -> np.ndarray:
     return np.moveaxis(entries.reshape((2, 2) + entries.shape[1:]), (0, 1), (-2, -1))
 
 
-def _d_components(p: ModelParams, kx, ky):
+def _d_components(p: ModelParams, kx, ky, nx: int = 0, ny: int = 0):
     """Pauli components (d0, dx, dy, dz) of the Bloch matrix; broadcasts.
 
     Summed from the Pauli projection of each hop, which by linearity is
     the projection of the Bloch matrix.  Includes the optional imaginary
     onsite terms, so the reconstruction d0 + d.sigma = h holds for every
-    parameter set.
+    parameter set.  With derivative orders (nx, ny) it returns the
+    kx^nx ky^ny Taylor coefficient instead: the partial derivative over
+    nx! ny!, so (1, 0) and (0, 1) give the exact Jacobian of d.
     """
-    return tuple(_hop_sum(_hop_tables(p)[1], kx, ky))
+    return tuple(_hop_sum(_hop_tables(p)[1], kx, ky, nx, ny))
 
 
 def discriminant_function(p: ModelParams, kx, ky):
@@ -363,7 +366,7 @@ def _taylor_d(p: ModelParams, center, order):
     coeffs = {}
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            comps = tuple(complex(c) for c in _hop_sum(_hop_tables(p)[1], cx, cy, i, j))
+            comps = tuple(complex(c) for c in _d_components(p, cx, cy, i, j))
             if any(comps):
                 coeffs[(i, j)] = comps
     return coeffs

@@ -5,11 +5,11 @@ spectral degeneracies.  This module samples eta on a uniform grid over the
 square torus [-pi, pi)^2, seeds candidates from sign changes and from every
 local minimum of |eta| (needed because non-defective touchings are even-order
 zeros where neither component changes sign, and a coarse grid may sample
-|eta| far above zero next to one), refines every candidate with a damped
-two-dimensional Newton iteration on (Re eta, Im eta), and classifies each
-refined point as defective or non-defective.  Marching squares provides the
-zero curves of Re eta, Im eta and of the band real/imaginary parts (the
-r-Fermi and i-Fermi loci).
+|eta| far above zero next to one), refines every candidate with one root
+solver on the exact derivatives of the Pauli vector d (eta = 4 d.d), and
+classifies each refined point as defective or non-defective.  Marching
+squares provides the zero curves of Re eta, Im eta and of the band
+real/imaginary parts (the r-Fermi and i-Fermi loci).
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ NONDEFECTIVE_MATRIX_TOL = 1e-8
 DEFECTIVE_OVERLAP_FLOOR = 1.0 - 1e-6
 # refined points closer than this on the torus are one point
 _DEDUP_RADIUS = 1e-4
+# root-solver steps per seed; a seed beside the quadratic Gamma touching at
+# gamma = pi/2 takes about 20, because Gauss-Newton on d converges only
+# linearly along a quadratic direction
+_MAX_STEPS = 50
 
 _TWO_PI = 2.0 * np.pi
 
@@ -74,8 +78,9 @@ class DegeneracyPoint:
     ``NONDEFECTIVE_MATRIX_TOL * max(1, |h|)`` of lambda0 times the identity
     (the only diagonalizable 2x2 double degeneracy), 'defective' when the
     eigenvector overlap reaches ``DEFECTIVE_OVERLAP_FLOOR``, and
-    'unresolved' when neither holds even after a polish on the Pauli
-    components (never expected; treated as an error by tests).
+    'unresolved' when neither holds.  No refined point is expected to be
+    unresolved: tests treat one as an error and ``nhdeg scan`` exits 1.
+    ``newton_iters`` counts the root-solver steps from the grid seed.
     """
 
     kx: float
@@ -162,110 +167,51 @@ def _local_minima(absval: np.ndarray, threshold: float) -> np.ndarray:
     return np.argwhere(m & (absval < threshold))
 
 
-def _newton_refine(p: ModelParams, seeds: np.ndarray, tol: float,
-                   max_iter: int = 80, fd_step: float = 1e-6):
-    """Batched damped Newton on (Re eta, Im eta)(kx, ky).
+def _refine(p: ModelParams, seeds: np.ndarray, tol: float):
+    """Batched root solver for eta = 4 d.d on the exact derivatives of d.
 
-    Central differences are exact for the locally quadratic zeros at
-    non-defective touchings, so the iteration reaches machine-level |eta|
-    even though the Jacobian degenerates at those roots.  Candidates keep
-    polishing well below ``tol`` (classification compares the Bloch matrix
-    against lambda0 times the identity, which needs the root itself, not
-    just a small residual) and stop once no damped step improves |eta|.
+    Each step proposes two moves and keeps the one with the lower |eta|: a
+    Newton step on (Re eta, Im eta), whose gradient is 8 d.(dd/dk), for the
+    simple zeros of eta at exceptional points; and a Gauss-Newton step on
+    the six real components of d, for the touchings where d itself vanishes
+    and eta has a double zero with a singular Jacobian.  A seed stops when
+    neither move lowers |eta| or after ``_MAX_STEPS`` steps; it has
+    converged when |eta| <= tol.
     """
-    k = seeds.astype(float).copy()
-    iters = np.zeros(len(k), dtype=int)
-    active = np.ones(len(k), dtype=bool)
-
-    def eta_at(kk):
-        return np.asarray(discriminant_function(p, kk[:, 0], kk[:, 1]), dtype=complex)
-
-    f = eta_at(k)
-    for _ in range(max_iter):
-        active &= np.abs(f) > 1e-30
-        if not active.any():
+    k = seeds.T.astype(float)  # (2, n)
+    d = np.array(_d_components(p, k[0], k[1])[1:])  # (3, n)
+    eta = 4.0 * (d * d).sum(axis=0)
+    iters = np.zeros(len(eta), dtype=int)
+    idx = np.arange(len(eta))
+    for _ in range(_MAX_STEPS):
+        if not len(idx):
             break
-        idx = np.where(active)[0]
-        ka = k[idx]
-        h = fd_step
-        fx = (eta_at(ka + [[h, 0]]) - eta_at(ka - [[h, 0]])) / (2 * h)
-        fy = (eta_at(ka + [[0, h]]) - eta_at(ka - [[0, h]])) / (2 * h)
-        # solve the 2x2 real systems J d = -F in closed form
-        a, b = fx.real, fy.real
-        c, d = fx.imag, fy.imag
-        det = a * d - b * c
-        fr, fi = f[idx].real, f[idx].imag
-        ok = np.abs(det) > 1e-300
-        dx = np.where(ok, (-fr * d + fi * b) / np.where(ok, det, 1.0), 0.0)
-        dy = np.where(ok, (-fi * a + fr * c) / np.where(ok, det, 1.0), 0.0)
-        # gradient fallback for a singular Jacobian
-        g2 = a * a + b * b + c * c + d * d
-        gx = -(fr * a + fi * c) / np.where(g2 > 0, g2, 1.0)
-        gy = -(fr * b + fi * d) / np.where(g2 > 0, g2, 1.0)
-        dx = np.where(ok, dx, gx)
-        dy = np.where(ok, dy, gy)
-        step = np.clip(np.stack([dx, dy], axis=1), -0.5, 0.5)
-        # damping: halve the step until |eta| does not increase
-        knew = ka + step
-        fnew = eta_at(knew)
-        stuck = np.zeros(len(idx), dtype=bool)
-        for _damp in range(12):
-            worse = np.abs(fnew) > np.abs(f[idx])
-            if not worse.any():
-                break
-            step[worse] *= 0.5
-            knew = ka + step
-            fnew = eta_at(knew)
-        else:
-            stuck = np.abs(fnew) > np.abs(f[idx])
-        improve = ~stuck
-        rows = idx[improve]
-        k[rows] = knew[improve]
-        f[rows] = fnew[improve]
-        iters[rows] += 1
-        # a candidate that cannot improve any further has converged or failed
-        active[idx[stuck]] = False
-    converged = np.abs(f) <= tol
-    # stalled candidates may sit at a tangential intersection of the Re/Im
-    # zero curves, where the 2D Newton degenerates; non-defective touchings
-    # have all Pauli components vanishing linearly there, so a Gauss-Newton
-    # polish on (dx, dy, dz) recovers quadratic convergence
-    for i in np.where(~converged)[0]:
-        kk, ff, extra = _polish_dvec(p, k[i], tol)
-        if ff <= tol:
-            k[i], iters[i], converged[i] = kk, iters[i] + extra, True
-            f[i] = ff
-    return k, np.abs(f), iters, converged
-
-
-def _polish_dvec(p: ModelParams, k0, tol, max_iter: int = 25, fd_step: float = 1e-7):
-    """Gauss-Newton on the three Pauli components (six real equations)."""
-    k = np.asarray(k0, dtype=float).copy()
-
-    def dvec(kk):
-        _, dx, dy, dz = _d_components(p, kk[0], kk[1])
-        return np.array([dx.real, dx.imag, dy.real, dy.imag, dz.real, dz.imag])
-
-    def eta_abs(kk):
-        return abs(complex(discriminant_function(p, kk[0], kk[1])))
-
-    best_k, best_eta = k.copy(), eta_abs(k)
-    for it in range(max_iter):
-        F = dvec(k)
-        h = fd_step
-        Jx = (dvec(k + [h, 0]) - dvec(k - [h, 0])) / (2 * h)
-        Jy = (dvec(k + [0, h]) - dvec(k - [0, h])) / (2 * h)
-        J = np.column_stack([Jx, Jy])
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        k = k + np.clip(step, -0.2, 0.2)
-        eta = eta_abs(k)
-        if eta < best_eta:
-            best_k, best_eta = k.copy(), eta
-        if best_eta <= tol * 1e-4 or np.linalg.norm(step) < 1e-15:
-            break
-    return best_k, best_eta, it + 1
+        ka, da, fa = k[:, idx], d[:, idx], eta[idx]
+        jx = np.array(_d_components(p, ka[0], ka[1], 1, 0)[1:])
+        jy = np.array(_d_components(p, ka[0], ka[1], 0, 1)[1:])
+        # Newton: gx sx + gy sy = -eta for real (sx, sy)
+        gx, gy = 8.0 * (da * jx).sum(axis=0), 8.0 * (da * jy).sum(axis=0)
+        det = (gx.conj() * gy).imag
+        newton = np.stack([(fa * gy.conj()).imag, (fa.conj() * gx).imag])
+        # Gauss-Newton: normal equations of min |d + jx sx + jy sy|^2
+        axx, ayy = (np.abs(jx) ** 2).sum(axis=0), (np.abs(jy) ** 2).sum(axis=0)
+        axy = (jx.conj() * jy).sum(axis=0).real
+        bx, by = -(jx.conj() * da).sum(axis=0).real, -(jy.conj() * da).sum(axis=0).real
+        gauss = np.stack([ayy * bx - axy * by, axx * by - axy * bx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.stack([newton / det, gauss / (axx * ayy - axy * axy)])
+        moves = ka + np.clip(steps, -0.5, 0.5)  # (2 moves, 2, m)
+        dm = np.array(_d_components(p, moves[:, 0], moves[:, 1])[1:])  # (3, 2, m)
+        em = 4.0 * (dm * dm).sum(axis=0)
+        am = np.nan_to_num(np.abs(em), nan=np.inf)
+        pick = am[1] < am[0]
+        better = np.minimum(am[0], am[1]) < np.abs(fa)
+        idx = idx[better]
+        k[:, idx] = np.where(pick, moves[1], moves[0])[:, better]
+        d[:, idx] = np.where(pick, dm[:, 1], dm[:, 0])[:, better]
+        eta[idx] = np.where(pick, em[1], em[0])[better]
+        iters[idx] += 1
+    return k.T, np.abs(eta), iters, np.abs(eta) <= tol
 
 
 def _wrap(k):
@@ -308,14 +254,11 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     """Locate and classify all degeneracies of the Bloch matrix.
 
     Grid candidates come from simultaneous Re/Im sign-change cells and from
-    every local minimum of |eta|; each candidate is Newton-refined until
-    |eta| <= tol (non-converged candidates are dropped and counted).
-    Refined points are deduplicated on the torus within ``_DEDUP_RADIUS``
-    and classified; a point that is neither non-defective nor defective is
-    refined on the Pauli components and classified again, because eta can
-    vanish where the complex vector d does not.  Points are sorted by
-    (kx, ky).  With ``fold``,
-    points equivalent under the reduced-zone shift (pi, pi) are merged.
+    every local minimum of |eta|; each candidate is refined until |eta| <=
+    tol (non-converged candidates are dropped and counted).  Refined points
+    are deduplicated on the torus within ``_DEDUP_RADIUS`` and classified.
+    Points are sorted by (kx, ky).  With ``fold``, points equivalent under
+    the reduced-zone shift (pi, pi) are merged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -333,7 +276,7 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
         return ScanResult(points=[], n_candidates=0, n_dropped=0, field=fld)
     seeds = np.asarray(seeds)
 
-    refined, absf, iters, converged = _newton_refine(p, seeds, tol)
+    refined, absf, iters, converged = _refine(p, seeds, tol)
     n_dropped = int((~converged).sum())
     refined = _wrap(refined[converged])
     absf = absf[converged]
@@ -341,16 +284,12 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
 
     points = []
     for i in _dedup(refined):
-        k, eta, n_iter = refined[i], absf[i], iters[i]
+        k = refined[i]
         lam0, kind, overlap = _classify(p, k)
-        if kind == "unresolved":
-            k, eta, extra = _polish_dvec(p, k, tol)
-            k, n_iter = _wrap(k), n_iter + extra
-            lam0, kind, overlap = _classify(p, k)
         points.append(DegeneracyPoint(kx=float(k[0]), ky=float(k[1]), lambda0=lam0,
-                                      kind=kind, eta_residual=float(eta),
+                                      kind=kind, eta_residual=float(absf[i]),
                                       coalescence_overlap=float(overlap),
-                                      newton_iters=int(n_iter)))
+                                      newton_iters=int(iters[i])))
     if fold:
         points = fold_points(points)
     points.sort(key=lambda q: (q.kx, q.ky))

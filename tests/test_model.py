@@ -176,6 +176,20 @@ def test_d_vector_reconstructs_bloch_matrix(seed):
     np.testing.assert_allclose(pauli_matrix(*d_at(p, kx, ky)), h, atol=1e-12)
 
 
+def test_d_vector_derivatives_match_central_differences():
+    # away from the symmetry points, where no other test reads the Jacobian
+    rng = np.random.default_rng(7)
+    h = 1e-5
+    for _ in range(20):
+        p = random_params(rng)
+        kx, ky = rng.uniform(-np.pi, np.pi, 2)
+        for nx, ny in ((1, 0), (0, 1)):
+            plus = np.array(d_at(p, kx + h * nx, ky + h * ny))
+            minus = np.array(d_at(p, kx - h * nx, ky - h * ny))
+            exact = np.array([complex(c) for c in _d_components(p, kx, ky, nx, ny)])
+            np.testing.assert_allclose(exact, (plus - minus) / (2 * h), atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # dispersions
 
@@ -483,9 +497,12 @@ def test_quadratic_expansion_gamma_half_pi_printed_components():
 def test_params_roundtrip(tmp_path):
     p = ModelParams(t=1.25, t1=-0.3, v=3.2594467190028618, gamma=np.pi / 3,
                     gx=0.123456789, gy=-1e-7, ga=0.5, gb=0.3, mu_a=0.0, mu_b=0.25)
-    path = tmp_path / "params.txt"
-    save_params(p, path)
-    assert load_params(path) == p
+    # phase_boundaries returns numpy scalars
+    q = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
+    for params in (p, q.replace(v=phase_boundaries(q)[1])):
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        assert load_params(path) == params
 
 
 def test_params_file_errors(tmp_path):

@@ -9,6 +9,7 @@ from nhdeg.model import (ModelParams, _k_grid, discriminant_function, dispersion
 from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
                            fermi_curves, find_degeneracies,
                            fold_points, scan_discriminant, zero_curves)
+from nhdeg.symmetry import builtin_spec, pair_product_phase
 
 X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
              (-np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2)]
@@ -178,16 +179,34 @@ def test_coarse_grids_find_every_pinned_point(n):
 
 
 def test_gap_closure_point_left_on_a_zero_of_eta_is_polished():
-    # eta-Newton stops at |eta| ~ 5e-14 about 3e-7 from each X2 point, where
-    # eta = 4 d.d vanishes but d does not; refining d itself lands on X2
-    p = ModelParams(t1=0.78, ga=0.55, gb=0.13, gamma=0.31)
-    res = find_degeneracies(p.replace(v=phase_boundaries(p)[1]), 301, 301)
+    # eta = 4 d.d vanishes about 1e-7 beside each X2 point where d does not,
+    # and a solver that only drives eta down can stop there: the first draw
+    # then read neither kind, the second read 'defective'.  The Gauss-Newton
+    # move on d lands on X2 itself
     x2 = [(np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2)]
-    assert not res.unresolved and not res.defective
-    assert len(res.nondefective) == 2
-    for q in res.nondefective:
-        assert nearest_target(q, x2) < 1e-12
-        assert q.eta_residual < 1e-25
+    for p in (ModelParams(t1=0.78, ga=0.55, gb=0.13, gamma=0.31),
+              ModelParams(t1=0.75111, ga=0.47715, gb=0.31991, gamma=0.31926)):
+        res = find_degeneracies(p.replace(v=phase_boundaries(p)[1]), 301, 301)
+        assert not res.unresolved and not res.defective
+        assert len(res.nondefective) == 2
+        for q in res.nondefective:
+            assert nearest_target(q, x2) < 1e-12
+            assert q.eta_residual < 1e-25
+
+
+def test_readme_recipes_converge_in_few_steps():
+    # every README point within 30 steps; the quadratic Gamma pair takes the
+    # most, and lands close enough that its pair phase reads -1 to 1e-7
+    diag = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
+    recipes = [ModelParams(gamma=0.5, gx=0.5, gy=0.3), diag,
+               diag.replace(v=phase_boundaries(diag)[1]),
+               diag.replace(gamma=0.0), diag.replace(gamma=np.pi / 2)]
+    results = [find_degeneracies(p, 301, 301) for p in recipes]
+    assert all(q.newton_iters <= 30 for res in results for q in res.points)
+    spec = builtin_spec("upsilon_prime")
+    assert len(results[-1].nondefective) == 2
+    for q in results[-1].nondefective:
+        assert abs(pair_product_phase(spec, (q.kx, q.ky)) + 1) < 1e-7
 
 
 def test_refinement_grid_independent():
