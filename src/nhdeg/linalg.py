@@ -73,7 +73,9 @@ def eigensystem_n(H, tol: float = 1e-9, want_left: bool = True) -> Eigensystem:
     scale = max(1.0, float(np.linalg.norm(H)))
     # residuals per unit vector: biorthogonal scaling must not affect them
     norm_r = np.linalg.norm(R, axis=0)
-    residual = (np.linalg.norm(H @ R - R * lam[None, :], axis=0) / norm_r).max()
+    HR = H @ R
+    HR -= R * lam  # in place: one (dim, dim) temporary fewer
+    residual = (np.linalg.norm(HR, axis=0) / norm_r).max()
     L, defective = None, False
     if want_left:
         try:

@@ -21,11 +21,22 @@ a random perturbation of norm 1e-15 |H| moves the eigenvalues by up to
 x-open one; the mapped and direct eigenvalues differ by up to 2.1e-2 and
 3.0e-6 there (after matching).  Both have the solver's residual against
 H(k).
+
+The dense solves of a sweep run in parallel, one thread per CPU available
+to the process (the calling thread among them), while OpenBLAS is pinned
+to one thread.  Each solve is then single-threaded, so the bands do not
+depend on the number of CPUs or on ``OPENBLAS_NUM_THREADS``; a threaded
+solve rounds differently, and the conditioning above amplifies that.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -58,6 +69,14 @@ _GAP_NK = 301
 _GAP_MARGIN = 1e-9
 # the zero-mode pair is absent when an eigenvalue lies farther from zero
 _ZERO_WINDOW = 0.5
+# held while a sweep has OpenBLAS pinned, so that concurrent sweeps cannot
+# restore each other's thread count
+_BLAS_LOCK = threading.Lock()
+# OpenBLAS thread-count calls ({} = get or set): plain, with the suffixes of
+# 64-bit integer builds, and with the scipy_ prefix of numpy's and scipy's wheels
+_OPENBLAS_THREAD_CALLS = [f"{prefix}_{{}}_num_threads{suffix}"
+                          for prefix in ("openblas", "scipy_openblas")
+                          for suffix in ("", "64_", "_64")]
 
 
 @dataclass
@@ -144,6 +163,67 @@ def _gauge_signs(p: ModelParams, n_cells: int) -> np.ndarray:
     return np.concatenate([alt, -alt])
 
 
+@cache
+def _blas_thread_calls() -> tuple:
+    """(get, set) thread-count calls of every OpenBLAS loaded in the process.
+
+    Libraries are found in the process's memory map (numpy and scipy may
+    each bring one) and opened only if already loaded; the calls are looked
+    up under the names OpenBLAS builds export.  Empty where none is found.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            # only the path field of a map line can name a library
+            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return ()
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_CALLS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                calls.append((get, set_))
+                break
+    return tuple(calls)
+
+
+def _worker_count() -> int:
+    """Solver threads of a sweep: the CPUs this process may run on.
+
+    Only called once an OpenBLAS was found through /proc, so on Linux.
+    """
+    return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread and yield the number of solver threads.
+
+    The previous thread counts are restored on exit, also when a solve
+    raises.  Without a thread setter the sweep runs on the calling thread
+    alone, so solver threads never compete with BLAS threads.
+    """
+    calls = _blas_thread_calls()
+    if not calls:
+        yield 1
+        return
+    with _BLAS_LOCK:
+        before = [get() for get, _ in calls]
+        for _, set_ in calls:
+            set_(1)
+        try:
+            yield _worker_count()
+        finally:
+            for (_, set_), count in zip(calls, before):
+                set_(count)
+
+
 def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int,
                     k_samples: int = 64, k_values=None) -> list:
     """Diagonalize the ribbon over a transverse momentum grid.
@@ -157,6 +237,11 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int,
     a momentum in [-pi, 0) without such a partner is solved directly.
     Bands from one solve share its read-only arrays, except that a partner
     across pi gets its own gauge-mapped eigenvectors (module docstring).
+
+    The solves are split over one thread per available CPU, the calling
+    thread included, with OpenBLAS pinned to one thread for the sweep.
+    Each solve is then single-threaded, so the bands do not depend on the
+    number of CPUs or on ``OPENBLAS_NUM_THREADS``.
     """
     if k_values is None:
         k_values = _k_grid(k_samples)
@@ -165,19 +250,48 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int,
     lower = wrapped < 0
     rep = np.where(lower, wrapped + np.pi, wrapped)
     u = _gauge_signs(p, n_cells)
-    bands = [None] * len(ks)
     order = np.argsort(rep, kind="stable")
+    groups = []
     start = 0
     while start < len(order):
         stop = start + 1
         while stop < len(order) and rep[order[stop]] - rep[order[start]] <= _SAME_K_TOL:
             stop += 1
-        group = order[start:stop]
-        solve = next((i for i in group if not lower[i]), group[0])
-        H = ribbon_hamiltonian(p, open_axis, n_cells, ks[solve])
-        es = eigensystem_n(H, want_left=False)
+        groups.append(order[start:stop])
+        start = stop
+    solves = [next((i for i in group if not lower[i]), group[0]) for group in groups]
+    # one slot per group, so the bands do not depend on the thread count
+    results = [None] * len(groups)
+
+    def run(first, step):
+        # a worker stops at its first failure, which the caller re-raises
+        for g in range(first, len(groups), step):
+            try:
+                es = eigensystem_n(ribbon_hamiltonian(p, open_axis, n_cells, ks[solves[g]]),
+                                   want_left=False)
+                results[g] = es, _localize(es.right, n_cells)[2]
+            except BaseException as exc:
+                results[g] = exc
+                return
+
+    with _one_blas_thread() as workers:
+        step = max(1, min(workers, len(groups)))
+        threads = [threading.Thread(target=run, args=(first, step))
+                   for first in range(1, step)]
+        try:
+            for t in threads:
+                t.start()
+            run(0, step)
+        finally:
+            for t in threads:
+                if t.ident is not None:
+                    t.join()
+    bands = [None] * len(ks)
+    for group, solve, result in zip(groups, solves, results):
+        if isinstance(result, BaseException):
+            raise result
+        es, flags = result
         es.eigenvalues.flags.writeable = es.right.flags.writeable = False
-        flags = _localize(es.right, n_cells)[2]
         for i in group:
             vecs = es.right
             if lower[i] != lower[solve]:
@@ -185,7 +299,6 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int,
                 vecs.flags.writeable = False
             bands[i] = RibbonBand(transverse_k=ks[i], eigenvalues=es.eigenvalues,
                                   eigenvectors=vecs, edge_flags=list(flags))
-        start = stop
     return bands
 
 

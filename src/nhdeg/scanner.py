@@ -45,6 +45,10 @@ _DEDUP_RADIUS = 1e-4
 # gamma = pi/2 takes about 20, because Gauss-Newton on d converges only
 # linearly along a quadratic direction
 _MAX_STEPS = 50
+# points sort by momenta snapped to 2**20 steps around the torus: far finer
+# than the dedup radius, yet solver noise cannot move a point on a shared
+# line (kx = 0, or the seam kx = -pi ~ pi) across a step boundary
+_SORT_STEPS = 2 ** 20
 
 _TWO_PI = 2.0 * np.pi
 
@@ -257,8 +261,9 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     every local minimum of |eta|; each candidate is refined until |eta| <=
     tol (non-converged candidates are dropped and counted).  Refined points
     are deduplicated on the torus within ``_DEDUP_RADIUS`` and classified.
-    Points are sorted by (kx, ky).  With ``fold``, points equivalent under
-    the reduced-zone shift (pi, pi) are merged.
+    Points are sorted by (kx, ky) snapped to a fine torus lattice, so
+    their order does not hinge on sub-grid solver noise.  With ``fold``,
+    points equivalent under the reduced-zone shift (pi, pi) are merged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -292,9 +297,15 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
                                       newton_iters=int(iters[i])))
     if fold:
         points = fold_points(points)
-    points.sort(key=lambda q: (q.kx, q.ky))
+    points.sort(key=_sort_key)
     return ScanResult(points=points, n_candidates=len(seeds), n_dropped=n_dropped,
                       field=fld)
+
+
+def _sort_key(q):
+    """(kx, ky) of a point in lattice steps from -pi, modulo the torus."""
+    return tuple(round((k + np.pi) / _TWO_PI * _SORT_STEPS) % _SORT_STEPS
+                 for k in (q.kx, q.ky))
 
 
 def fold_points(points):

@@ -50,6 +50,8 @@ BUILTIN_NAMES = ("upsilon", "upsilon_prime", "upsilon_doubleprime")
 
 # relations are exact; only rounding contributes
 HOLD_TOL = 1e-10
+# grid residuals this close (relative) to an extremum tie with it
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -136,21 +138,23 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
 
     for every k.  The report carries the worst and best grid residuals
     relative to the largest norm of h_p(a(k)) on the grid, or to 1 when
-    that norm is smaller.
+    that norm is smaller.  Extrema tend to come in pairs tied up to
+    rounding; the momentum reported is the first, in a kx-outer scan of
+    the grid, whose residual lies within a relative 1e-12 of the extremum.
     """
     W = _spinor_part(spec, p)
     pp = apply_parameter_map(spec, p)
     kxs, kys = _k_grid(nx), _k_grid(ny)
-    # kx on the first axis, so first-occurrence argmax/argmin break ties
-    # the way a kx-outer scan over the grid does
+    # kx on the first axis, so the flat order is the kx-outer scan order
     kx, ky = kxs[:, None], kys[None, :]
     h_a = bloch_hamiltonian(p, *_momentum_action(spec, p, kx, ky))
     h_t = bloch_hamiltonian(pp, -kx, -ky)
     r_r = np.linalg.norm(h_a @ W - W @ h_t.swapaxes(-1, -2), axis=(-2, -1))
     r_l = np.linalg.norm(W @ h_t.conj() - h_a.conj().swapaxes(-1, -2) @ W, axis=(-2, -1))
     r = np.maximum(r_r, r_l)
-    worst = np.unravel_index(np.argmax(r), r.shape)
-    best = np.unravel_index(np.argmin(r), r.shape)
+    # argmax of a mask is its first True
+    worst = np.unravel_index(np.argmax(r >= r.max() * (1 - _TIE_RTOL)), r.shape)
+    best = np.unravel_index(np.argmax(r <= r.min() * (1 + _TIE_RTOL)), r.shape)
     scale = max(float(np.linalg.norm(h_a, axis=(-2, -1)).max()), 1.0)
     return SymmetryReport(
         name=spec.name,

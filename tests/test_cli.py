@@ -380,11 +380,22 @@ def test_cli_determinism(tmp_path, regime1_file):
         (out_b / "theorem.json").read_bytes()
 
 
-def test_runtime_imports_no_scipy():
-    # the package needs numpy only; scipy is a test extra
+def _modules_after_cli_import(prefix):
+    """Modules starting with ``prefix`` that a fresh ``import nhdeg.cli`` loads."""
     src = str(Path(nhdeg.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import nhdeg.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+            "print(sorted(m for m in sys.modules if m.startswith(sys.argv[2])))")
+    proc = subprocess.run([sys.executable, "-c", code, src, prefix], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_runtime_imports_no_scipy():
+    # the package needs numpy only; scipy is a test extra
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_executor_pool():
+    # the ribbon sweep runs plain threading threads; concurrent.futures
+    # would add several milliseconds to every command's start-up
+    assert _modules_after_cli_import("concurrent") == "[]"

@@ -1,5 +1,10 @@
 """Tests for ribbon spectra, localization metrics and zero-mode coalescence."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from nhdeg.model import ModelParams, _hop_list
 from nhdeg.ribbon import (_gauge_signs, _localize, bulk_gap_interval, in_gap_indices,
                           localization, obc_defective_check, ribbon_hamiltonian,
                           ribbon_spectrum, skin_metric)
+from nhdeg.serialize import write_band_csv
 
 # gapped topological regime with diagonal nonreciprocity switched on
 P_TI = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
@@ -297,3 +303,147 @@ def test_batched_flags_match_per_column_localization(p, axis, n, k):
     assert side == [r[2] for r in ref]
     # the non-Hermitian cases exercise the edge thresholds
     assert set(side) - {"delocalized"} or p is P_HERM
+
+
+# ---------------------------------------------------------------------------
+# parallel solves with OpenBLAS pinned to one thread
+
+def _blas_counts():
+    calls = nhdeg.ribbon._blas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS thread-count calls in this process")
+    return [get() for get, _ in calls]
+
+
+def _set_blas_counts(counts):
+    for (_, set_), n in zip(nhdeg.ribbon._blas_thread_calls(), counts):
+        set_(n)
+
+
+@pytest.mark.parametrize("p,axis,n", [(P_TI, "y", 30), (P_G0, "x", 16)])
+def test_bands_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, p, axis, n):
+    files = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: workers)
+        path = tmp_path / f"bands-{workers}.csv"
+        write_band_csv(path, ribbon_spectrum(p, axis, n, k_samples=16), dump_vectors=True)
+        files.append(path.read_bytes())
+    assert files[0] == files[1] == files[2]
+
+
+def test_sweep_pins_and_restores_the_blas_thread_count(monkeypatch):
+    before = _blas_counts()
+    two, one = [2] * len(before), [1] * len(before)
+    seen = []
+    solve = nhdeg.ribbon.eigensystem_n
+
+    def recording(H, **kw):
+        seen.append(_blas_counts())
+        return solve(H, **kw)
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
+    monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", recording)
+    try:
+        _set_blas_counts(two)
+        ribbon_spectrum(P_TI, "x", 8, k_samples=8)
+        assert seen == [one] * 4
+        assert _blas_counts() == two
+    finally:
+        _set_blas_counts(before)
+
+
+def test_failed_solve_restores_the_blas_thread_count_and_raises(monkeypatch):
+    before = _blas_counts()
+    two = [2] * len(before)
+    build = nhdeg.ribbon.ribbon_hamiltonian
+
+    def failing(p, axis, n, k):
+        # k = pi/4 is the second of the four solves, on the second worker
+        if k == np.pi / 4:
+            raise RuntimeError("solve failed")
+        return build(p, axis, n, k)
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
+    monkeypatch.setattr(nhdeg.ribbon, "ribbon_hamiltonian", failing)
+    try:
+        _set_blas_counts(two)
+        with pytest.raises(RuntimeError, match="solve failed"):
+            ribbon_spectrum(P_TI, "x", 8, k_samples=8)
+        assert _blas_counts() == two
+    finally:
+        _set_blas_counts(before)
+
+
+def test_without_blas_calls_the_sweep_is_serial(monkeypatch):
+    # no thread setter: every solve runs on the calling thread, as direct
+    # solves there would
+    threads = []
+    solve = nhdeg.ribbon.eigensystem_n
+
+    def recording(H, **kw):
+        threads.append(threading.current_thread())
+        return solve(H, **kw)
+
+    monkeypatch.setattr(nhdeg.ribbon, "_blas_thread_calls", lambda: ())
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
+    monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", recording)
+    n = 12
+    bands = ribbon_spectrum(P_TI, "y", n, k_samples=8)
+    assert threads == [threading.main_thread()] * 4
+    for band in bands[4:]:
+        es = solve(ribbon_hamiltonian(P_TI, "y", n, band.transverse_k), want_left=False)
+        assert np.array_equal(band.eigenvalues, es.eigenvalues)
+        assert np.array_equal(band.eigenvectors, es.right)
+
+
+def test_concurrent_sweeps_under_thread_stress(monkeypatch):
+    # two sweeps at once, each with more workers than CPUs and a short
+    # switch interval: every solve sees one BLAS thread, the bands equal a
+    # plain sweep's, and the counts from before the sweeps come back.  The
+    # longer sweep starts once the shorter one is solving, and the solves
+    # are slowed down, so unserialized sweeps would overlap and the shorter
+    # one would restore the counts while the longer one still solves
+    before = _blas_counts()
+    two, one = [2] * len(before), [1] * len(before)
+    sizes = (16, 64)
+    reference = [ribbon_spectrum(P_TI, "y", 12, k_samples=k) for k in sizes]
+    seen = []
+    solving = threading.Event()
+    solve = nhdeg.ribbon.eigensystem_n
+
+    def recording(H, **kw):
+        solving.set()
+        seen.append(_blas_counts())
+        time.sleep(0.002)
+        return solve(H, **kw)
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: (os.cpu_count() or 1) + 2)
+    monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", recording)
+    results = [None, None]
+
+    def sweep(slot):
+        if slot:
+            solving.wait(timeout=10)
+        results[slot] = ribbon_spectrum(P_TI, "y", 12, k_samples=sizes[slot])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _set_blas_counts(two)
+        threads = [threading.Thread(target=sweep, args=(slot,)) for slot in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert _blas_counts() == two
+    finally:
+        sys.setswitchinterval(interval)
+        _set_blas_counts(before)
+    assert seen == [one] * (sum(sizes) // 2)
+    for bands, ref_bands in zip(results, reference):
+        assert [b.transverse_k for b in bands] == [b.transverse_k for b in ref_bands]
+        for band, ref in zip(bands, ref_bands):
+            assert np.array_equal(band.eigenvalues, ref.eigenvalues)
+            assert np.array_equal(band.eigenvectors, ref.eigenvectors)
+            assert band.edge_flags == ref.edge_flags

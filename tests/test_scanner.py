@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import nhdeg.scanner
 from nhdeg.model import (ModelParams, _k_grid, discriminant_function, dispersion,
                          phase_boundaries)
 from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
@@ -132,6 +133,33 @@ def test_regime3_gamma_half_pi_gamma_points():
         assert nearest_target(q, g_targets) < 1e-6
     folded = fold_points(res.nondefective)
     assert len(folded) == 1
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_point_order_is_stable_against_solver_noise(monkeypatch, fold):
+    # the gamma = pi/2 Gamma pair lands within about 1e-8 of (0, 0) and
+    # (pi, pi): nudging it across kx = 0 and across the seam kx = -pi ~ pi
+    # must not move it past the defective points on those lines
+    p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=np.pi / 2)
+    refine = nhdeg.scanner._refine
+
+    def nudged(delta):
+        def solver(p, seeds, tol):
+            k, absf, iters, converged = refine(p, seeds, tol)
+            w = nhdeg.scanner._wrap(k)
+            k = k.copy()
+            k[np.abs(w).max(axis=1) < 1e-6] = (delta, 0.0)
+            k[np.abs(np.abs(w) - np.pi).max(axis=1) < 1e-6] = (np.pi + delta, np.pi)
+            return k, absf, iters, converged
+        return solver
+
+    orders = []
+    for delta in (-1e-10, 1e-10):
+        monkeypatch.setattr(nhdeg.scanner, "_refine", nudged(delta))
+        points = find_degeneracies(p, 101, 101, fold=fold).points
+        orders.append([(q.kind, round(q.ky, 6)) for q in points])
+    assert orders[0] == orders[1]
+    assert [kind for kind, _ in orders[0]].count("nondefective") == 1 + (not fold)
 
 
 def test_gapped_regime_has_no_degeneracies():
