@@ -17,7 +17,7 @@ boundaries of the insulating regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -79,11 +79,12 @@ class ModelParams:
     mu_b: float = 0.0
 
     def __post_init__(self):
-        for key, val in asdict(self).items():
+        for f in fields(self):
+            val = getattr(self, f.name)
             if not math.isfinite(val):
-                raise ValueError(f"parameter {key} is not finite: {val!r}")
+                raise ValueError(f"parameter {f.name} is not finite: {val!r}")
             # a numpy scalar would be written back as np.float64(...)
-            object.__setattr__(self, key, float(val))
+            object.__setattr__(self, f.name, float(val))
         if self.t <= 0:
             raise ValueError(f"t must be positive (energy unit), got {self.t}")
 

@@ -85,6 +85,10 @@ class DegeneracyPoint:
     'unresolved' when neither holds.  No refined point is expected to be
     unresolved: tests treat one as an error and ``nhdeg scan`` exits 1.
     ``newton_iters`` counts the root-solver steps from the grid seed.
+    ``kx`` and ``ky`` lie in [-pi - pi/2**20, pi - pi/2**20): a coordinate
+    that rounds to the seam pi on the sort lattice (``_SORT_STEPS`` steps
+    around the torus) is reported at its k - 2 pi image, the same torus
+    point, so seam points all read near -pi.
     """
 
     kx: float
@@ -291,7 +295,9 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     for i in _dedup(refined):
         k = refined[i]
         lam0, kind, overlap = _classify(p, k)
-        points.append(DegeneracyPoint(kx=float(k[0]), ky=float(k[1]), lambda0=lam0,
+        # a coordinate just below the seam pi reads at its image near -pi
+        kx, ky = (c - _TWO_PI if _sort_step(c) == _SORT_STEPS else c for c in map(float, k))
+        points.append(DegeneracyPoint(kx=kx, ky=ky, lambda0=lam0,
                                       kind=kind, eta_residual=float(absf[i]),
                                       coalescence_overlap=float(overlap),
                                       newton_iters=int(iters[i])))
@@ -302,10 +308,14 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
                       field=fld)
 
 
+def _sort_step(k):
+    """k in sort-lattice steps from -pi; ``_SORT_STEPS`` is the seam pi."""
+    return round((k + np.pi) / _TWO_PI * _SORT_STEPS)
+
+
 def _sort_key(q):
     """(kx, ky) of a point in lattice steps from -pi, modulo the torus."""
-    return tuple(round((k + np.pi) / _TWO_PI * _SORT_STEPS) % _SORT_STEPS
-                 for k in (q.kx, q.ky))
+    return tuple(_sort_step(k) % _SORT_STEPS for k in (q.kx, q.ky))
 
 
 def fold_points(points):

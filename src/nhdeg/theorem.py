@@ -13,6 +13,15 @@ the degenerate subspace.  On that subspace the pair squares to -1, which
 forces the orthogonality relations that pin the degeneracy.  This module
 constructs the pair and verifies every one of those relations numerically,
 both for engineered random matrices and for lattice Bloch matrices.
+
+The pipeline (``eigensystem_n``, ``extract_degenerate_subspace``, the
+``make_upsilon_*`` constructors, the ``verify_*`` checks and
+``theorem_report``) also runs on stacks ``(..., n, n)``: each step is one
+batched numpy/LAPACK call, and entry i of every result equals the result
+for ``H[i]`` alone bit for bit.  A single matrix gives Python floats and
+complex numbers, a stack gives arrays over the stack, and a stack raises
+whatever its first failing matrix would, with the stack index appended.
+``run_ensemble`` verifies the trials of each dimension as one stack.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Eigensystem, eigensystem_n
+from .linalg import Eigensystem, _check, _fro, _item, _norm, _take_columns, eigensystem_n
 
 __all__ = [
     "DegenerateSubspace",
@@ -43,109 +52,138 @@ __all__ = [
 _CLUSTER_TOL = 1e-7
 
 
+def _mv(A, v):
+    """A @ v for stacks of matrices and vectors, one gemv per matrix."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _abs(z):
+    """|z| as the scalar abs(complex) rounds it; np.abs may differ in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _adjoint(A):
+    return A.conj().swapaxes(-1, -2)
+
+
+def _worst(values):
+    """Elementwise maximum of residuals, one matrix or a stack."""
+    return _item(np.maximum.reduce(list(values)))
+
+
 @dataclass
 class DegenerateSubspace:
     """Biorthogonal basis of a twofold degenerate eigenspace.
 
     ``psi_r1``/``psi_r2`` are right eigenvectors of H at ``lambda0``,
     ``psi_l1``/``psi_l2`` the matching left eigenvectors, normalized to
-    <l_i|r_j> = delta_ij.
+    <l_i|r_j> = delta_ij.  For a stack of matrices every field carries the
+    stack axes in front (``lambda0`` is then an array).
     """
 
-    lambda0: complex
+    lambda0: complex | np.ndarray
     psi_r1: np.ndarray
     psi_r2: np.ndarray
     psi_l1: np.ndarray
     psi_l2: np.ndarray
 
     def gram(self) -> np.ndarray:
-        L = np.column_stack([self.psi_l1, self.psi_l2])
-        R = np.column_stack([self.psi_r1, self.psi_r2])
-        return L.conj().T @ R
+        L = np.stack([self.psi_l1, self.psi_l2], axis=-1)
+        R = np.stack([self.psi_r1, self.psi_r2], axis=-1)
+        return _adjoint(L) @ R
 
     def validate(self, H=None, tol: float = 1e-8) -> None:
         """Check biorthonormality, and the eigenvector property if H is given."""
         G = self.gram()
-        err = np.linalg.norm(G - np.eye(2))
-        if err > tol:
-            raise ValueError(
-                f"subspace is not biorthonormal (|G - 1| = {err:.3e}); Gram = {G!r}")
-        if H is not None:
-            H = np.asarray(H, dtype=complex)
-            scale = max(1.0, np.linalg.norm(H))
-            for vec in (self.psi_r1, self.psi_r2):
-                r = np.linalg.norm(H @ vec - self.lambda0 * vec)
-                if r > tol * scale:
-                    raise ValueError(f"right vector residual {r:.3e} exceeds tolerance")
-            for vec in (self.psi_l1, self.psi_l2):
-                r = np.linalg.norm(H.conj().T @ vec - np.conj(self.lambda0) * vec)
-                if r > tol * scale:
-                    raise ValueError(f"left vector residual {r:.3e} exceeds tolerance")
+        err = _fro(G - np.eye(2))
+        _check(err > tol, ValueError, lambda i: (
+            f"subspace is not biorthonormal (|G - 1| = {err[i]:.3e}); Gram = {G[i]!r}"))
+        if H is None:
+            return
+        H = np.asarray(H, dtype=complex)
+        bound = tol * np.maximum(1.0, _fro(H))
+        lam0 = np.asarray(self.lambda0)[..., None]
+        for side, A, lam, vecs in (("right", H, lam0, (self.psi_r1, self.psi_r2)),
+                                   ("left", _adjoint(H), np.conj(lam0),
+                                    (self.psi_l1, self.psi_l2))):
+            for vec in vecs:
+                r = _norm(_mv(A, vec) - lam * vec)
+                _check(r > bound, ValueError,
+                       lambda i: f"{side} vector residual {r[i]:.3e} exceeds tolerance")
 
 
 @dataclass(frozen=True)
 class AntiunitaryOperator:
-    """Anti-linear map v -> matrix_part @ conj(v)."""
+    """Anti-linear map v -> matrix_part @ conj(v), over stacks as well."""
 
     matrix_part: np.ndarray
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix_part @ np.conj(np.asarray(v, dtype=complex))
+        return _mv(self.matrix_part, np.conj(np.asarray(v, dtype=complex)))
 
 
 def extract_degenerate_subspace(H, eigsys: Eigensystem | None = None,
-                                lambda0: complex | None = None) -> DegenerateSubspace:
+                                lambda0=None) -> DegenerateSubspace:
     """Locate a twofold degenerate eigenvalue of H and return its subspace.
 
     Eigenvalues within ``_CLUSTER_TOL * norm(H)`` of each other form a
     cluster; the unique cluster of size two is used unless ``lambda0``
     selects one explicitly.  The pair is re-biorthogonalized through its
     2x2 Gram system, since a dense solver returns an arbitrary mixture for
-    exactly equal eigenvalues.  Raises for defective input.
+    exactly equal eigenvalues.  Raises for defective input.  H may be a
+    stack ``(..., n, n)``, with ``lambda0`` one value or one per matrix; a
+    stack raises if any of its matrices would.
     """
     H = np.asarray(H, dtype=complex)
     es = eigensystem_n(H) if eigsys is None else eigsys
-    if es.defective:
-        raise ValueError("eigensystem is defective: no biorthogonal basis")
+    _check(es.defective, ValueError,
+           lambda i: "eigensystem is defective: no biorthogonal basis")
     lam = es.eigenvalues
-    scale = max(1.0, float(np.linalg.norm(H)))
+    scale = np.maximum(1.0, _fro(H))
     radius = _CLUSTER_TOL * scale
+    near = None if lambda0 is None else np.maximum(radius, 1e-6 * scale)
 
-    clusters = []
-    start = 0
-    while start < len(lam):
-        stop = start + 1
-        while stop < len(lam) and abs(lam[stop] - lam[start]) < radius:
-            stop += 1
-        clusters.append((start, stop))
-        start = stop
-    pairs = [c for c in clusters if c[1] - c[0] == 2]
-    if lambda0 is not None:
-        pairs = [c for c in pairs if abs(lam[c[0]] - lambda0) < max(radius, 1e-6 * scale)]
-    if len(pairs) != 1:
-        raise ValueError(
-            f"expected exactly one twofold cluster, found {len(pairs)} "
-            f"(eigenvalues {lam!r})")
-    a, b = pairs[0]
+    # clusters grow from their first eigenvalue in (Re, Im) order; record
+    # the start of each cluster of exactly two (near lambda0, if given)
+    n = lam.shape[-1]
+    start = np.zeros(lam.shape[:-1], dtype=int)
+    first = np.zeros_like(start)
+    n_pairs = np.zeros_like(start)
+    for stop in range(1, n + 1):
+        lam_start = np.take_along_axis(lam, start[..., None], -1)[..., 0]
+        closed = (stop == n) | ~(_abs(lam[..., min(stop, n - 1)] - lam_start) < radius)
+        pair = closed & (stop - start == 2)
+        if near is not None:
+            pair &= _abs(lam_start - lambda0) < near
+        first = np.where(pair, start, first)
+        n_pairs += pair
+        start = np.where(closed, stop, start)
+    _check(n_pairs != 1, ValueError, lambda i: (
+        f"expected exactly one twofold cluster, found {n_pairs[i]} "
+        f"(eigenvalues {lam[i]!r})"))
+    cols = first[..., None] + np.arange(2)
     # orthonormalize the right pair (a free gauge on an exact eigenspace);
     # Hermitian inputs then reduce to psi_L = psi_R identically
-    R = np.linalg.qr(es.right[:, a:b])[0]
-    L = es.left[:, a:b]
-    G = L.conj().T @ R
+    R = np.linalg.qr(_take_columns(es.right, cols))[0]
+    L = _take_columns(es.left, cols)
+    G = _adjoint(L) @ R
     svals = np.linalg.svd(G, compute_uv=False)
-    if svals[-1] < 1e-8 * max(1.0, svals[0]):
-        raise ValueError(
-            f"degenerate pair is defective: Gram matrix is singular "
-            f"(singular values {svals!r})")
-    L = L @ np.linalg.inv(G).conj().T
-    lam0 = complex(lam[a:b].mean())
-    sub = DegenerateSubspace(lam0, R[:, 0], R[:, 1], L[:, 0], L[:, 1])
+    _check(svals[..., -1] < 1e-8 * np.maximum(1.0, svals[..., 0]), ValueError, lambda i: (
+        f"degenerate pair is defective: Gram matrix is singular "
+        f"(singular values {svals[i]!r})"))
+    L = L @ _adjoint(np.linalg.inv(G))
+    lam0 = _item(np.take_along_axis(lam, cols, -1).mean(axis=-1))
+    sub = DegenerateSubspace(lam0, R[..., 0], R[..., 1], L[..., 0], L[..., 1])
     sub.validate(H)
     return sub
 
 
 def _pair_matrix(v1, v2):
-    return np.outer(v1, v2) - np.outer(v2, v1)
+    return _outer(v1, v2) - _outer(v2, v1)
 
 
 def make_upsilon_right(sub: DegenerateSubspace) -> AntiunitaryOperator:
@@ -175,10 +213,10 @@ def verify_intertwining(H, ur: AntiunitaryOperator, ul: AntiunitaryOperator) -> 
     ar, al = ur.matrix_part, ul.matrix_part
     if ar.shape != H.shape or al.shape != H.shape:
         raise ValueError("operator and matrix dimensions differ")
-    scale = max(1.0, float(np.linalg.norm(H)))
-    r_r = np.linalg.norm(H @ ar - ar @ H.T) / scale
-    r_l = np.linalg.norm(al @ np.conj(H) - H.conj().T @ al) / scale
-    return {"right_residual": float(r_r), "left_residual": float(r_l)}
+    scale = np.maximum(1.0, _fro(H))
+    r_r = _fro(H @ ar - ar @ H.swapaxes(-1, -2)) / scale
+    r_l = _fro(al @ np.conj(H) - _adjoint(H) @ al) / scale
+    return {"right_residual": _item(r_r), "left_residual": _item(r_l)}
 
 
 def verify_swap_action(sub: DegenerateSubspace, ur: AntiunitaryOperator,
@@ -188,23 +226,23 @@ def verify_swap_action(sub: DegenerateSubspace, ur: AntiunitaryOperator,
     Y_R maps l2 -> r1 and l1 -> -r2; Y_L maps r2 -> l1 and r1 -> -l2.
     """
     checks = {
-        "ur_l2_to_r1": np.linalg.norm(ur(sub.psi_l2) - sub.psi_r1),
-        "ur_l1_to_minus_r2": np.linalg.norm(ur(sub.psi_l1) + sub.psi_r2),
-        "ul_r2_to_l1": np.linalg.norm(ul(sub.psi_r2) - sub.psi_l1),
-        "ul_r1_to_minus_l2": np.linalg.norm(ul(sub.psi_r1) + sub.psi_l2),
+        "ur_l2_to_r1": _norm(ur(sub.psi_l2) - sub.psi_r1),
+        "ur_l1_to_minus_r2": _norm(ur(sub.psi_l1) + sub.psi_r2),
+        "ul_r2_to_l1": _norm(ul(sub.psi_r2) - sub.psi_l1),
+        "ul_r1_to_minus_l2": _norm(ul(sub.psi_r1) + sub.psi_l2),
     }
-    out = {k: float(v) for k, v in checks.items()}
-    out["max_residual"] = max(out.values())
+    out = {k: _item(v) for k, v in checks.items()}
+    out["max_residual"] = _worst(checks.values())
     return out
 
 
 def verify_orthogonality(sub: DegenerateSubspace, ur: AntiunitaryOperator,
                          ul: AntiunitaryOperator) -> dict:
     """The overlaps <l1|Y_R l1> and <r1|Y_L r1>, forced to zero by the pair."""
-    o1 = abs(np.vdot(sub.psi_l1, ur(sub.psi_l1)))
-    o2 = abs(np.vdot(sub.psi_r1, ul(sub.psi_r1)))
-    return {"left_overlap": float(o1), "right_overlap": float(o2),
-            "max_residual": float(max(o1, o2))}
+    o1 = _abs(np.vecdot(sub.psi_l1, ur(sub.psi_l1)))
+    o2 = _abs(np.vecdot(sub.psi_r1, ul(sub.psi_r1)))
+    return {"left_overlap": _item(o1), "right_overlap": _item(o2),
+            "max_residual": _worst((o1, o2))}
 
 
 def verify_pair_product(sub: DegenerateSubspace, ur: AntiunitaryOperator,
@@ -218,37 +256,47 @@ def verify_pair_product(sub: DegenerateSubspace, ur: AntiunitaryOperator,
     """
     M_rl = ur.matrix_part @ np.conj(ul.matrix_part)
     M_lr = ul.matrix_part @ np.conj(ur.matrix_part)
-    action = max(
-        np.linalg.norm(M_rl @ sub.psi_r1 + sub.psi_r1),
-        np.linalg.norm(M_rl @ sub.psi_r2 + sub.psi_r2),
-        np.linalg.norm(M_lr @ sub.psi_l1 + sub.psi_l1),
-        np.linalg.norm(M_lr @ sub.psi_l2 + sub.psi_l2),
-    )
-    proj = (np.outer(sub.psi_r1, np.conj(sub.psi_l1))
-            + np.outer(sub.psi_r2, np.conj(sub.psi_l2)))
+    action = _worst([
+        _norm(_mv(M_rl, sub.psi_r1) + sub.psi_r1),
+        _norm(_mv(M_rl, sub.psi_r2) + sub.psi_r2),
+        _norm(_mv(M_lr, sub.psi_l1) + sub.psi_l1),
+        _norm(_mv(M_lr, sub.psi_l2) + sub.psi_l2),
+    ])
+    proj = _outer(sub.psi_r1, np.conj(sub.psi_l1)) + _outer(sub.psi_r2, np.conj(sub.psi_l2))
     out = {
-        "subspace_action_residual": float(action),
-        "projector_residual": float(np.linalg.norm(M_rl + proj)),
+        "subspace_action_residual": action,
+        "projector_residual": _item(_fro(M_rl + proj)),
     }
-    if len(sub.psi_r1) == 2:
-        out["full_space_residual"] = float(np.linalg.norm(M_rl + np.eye(2)))
+    if sub.psi_r1.shape[-1] == 2:
+        out["full_space_residual"] = _item(_fro(M_rl + np.eye(2)))
     return out
 
 
 def verify_eigenvalue_preservation(H, sub: DegenerateSubspace,
-                                   ur: AntiunitaryOperator) -> float:
+                                   ur: AntiunitaryOperator):
     """Residual of H (Y_R l1) = lam0 (Y_R l1): the image stays degenerate."""
     H = np.asarray(H, dtype=complex)
     w = ur(sub.psi_l1)
-    return float(np.linalg.norm(H @ w - sub.lambda0 * w)
-                 / max(1.0, np.linalg.norm(H)))
+    return _item(_norm(_mv(H, w) - np.asarray(sub.lambda0)[..., None] * w)
+                 / np.maximum(1.0, _fro(H)))
 
 
 # ---------------------------------------------------------------------------
 # engineered test matrices
 
-def random_degenerate_hamiltonian(dim: int, seed: int,
-                                  lambda0: complex = 0.5 + 0.5j,
+def _draw_until(rngs, draw, accept):
+    """One ``draw(rng)`` per generator, each redrawn from its own generator
+    until ``accept`` (applied to a stack of draws) holds for it."""
+    out = np.stack([draw(rng) for rng in rngs])
+    redraw = np.arange(len(rngs))
+    while redraw.size:
+        redraw = redraw[~accept(out[redraw], redraw)]
+        for i in redraw:
+            out[i] = draw(rngs[i])
+    return out
+
+
+def random_degenerate_hamiltonian(dim: int, seed, lambda0=0.5 + 0.5j,
                                   defective: bool = False) -> np.ndarray:
     """Random matrix with lambda0 exactly twice in its spectrum.
 
@@ -258,36 +306,52 @@ def random_degenerate_hamiltonian(dim: int, seed: int,
     Deterministic for a fixed seed.  dim = 2 returns lambda0 * identity,
     the only non-defective twofold 2x2 degeneracy.  With ``defective`` the
     lambda0 block is a Jordan block instead (for negative testing).
+
+    ``seed`` may be a sequence of seeds, and ``lambda0`` one value or one
+    per seed; the result is then the stack ``(len(seed), dim, dim)``, whose
+    entry i equals the matrix drawn for ``seed[i]`` alone bit for bit (each
+    seed keeps its own generator; the cond(S) test and the products run on
+    the whole stack).
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    rng = np.random.default_rng(seed)
+    seeds = np.asarray(seed)
+    lam0 = np.broadcast_to(np.asarray(lambda0, dtype=complex), seeds.shape)
     if dim == 2 and not defective:
-        return lambda0 * np.eye(2, dtype=complex)
-    while True:
-        others = rng.uniform(-2, 2, size=dim - 2) + 1j * rng.uniform(-2, 2, size=dim - 2)
-        allv = np.concatenate([[lambda0, lambda0], others])
-        gaps = np.abs(allv[:, None] - allv[None, :]) + np.eye(dim) * 10
-        gaps[0, 1] = gaps[1, 0] = 10  # the engineered pair may coincide
-        if gaps.min() >= 0.1:
-            break
-    lam_block = np.diag(allv)
+        return lam0[..., None, None] * np.eye(2, dtype=complex)
+    rngs = [np.random.default_rng(s) for s in seeds.ravel().tolist()]
+    pair = np.repeat(lam0.reshape(-1, 1), 2, axis=1)
+    # every gap must reach 0.1, except the engineered pair's own (and the diagonal)
+    exempt = np.eye(dim) * 10
+    exempt[0, 1] = exempt[1, 0] = 10
+
+    def spread(others, idx):
+        allv = np.concatenate([pair[idx], others], axis=1)
+        gaps = np.abs(allv[:, :, None] - allv[:, None, :]) + exempt
+        return gaps.min(axis=(1, 2)) >= 0.1
+
+    others = _draw_until(rngs, lambda rng: (rng.uniform(-2, 2, size=dim - 2)
+                                            + 1j * rng.uniform(-2, 2, size=dim - 2)), spread)
+    lam_block = np.zeros((len(rngs), dim, dim), dtype=complex)
+    lam_block[:, np.arange(dim), np.arange(dim)] = np.concatenate([pair, others], axis=1)
     if defective:
-        lam_block[0, 1] = 1.0
-    while True:
-        S = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        if np.linalg.cond(S) < 1e3:
-            break
-    return S @ lam_block @ np.linalg.inv(S)
+        lam_block[:, 0, 1] = 1.0
+    S = _draw_until(rngs, lambda rng: (rng.normal(size=(dim, dim))
+                                       + 1j * rng.normal(size=(dim, dim))),
+                    lambda S, idx: np.linalg.cond(S) < 1e3)
+    H = S @ lam_block @ np.linalg.inv(S)
+    return H.reshape(seeds.shape + (dim, dim))
 
 
-def theorem_report(H, eigsys: Eigensystem | None = None,
-                   lambda0: complex | None = None) -> dict:
+def theorem_report(H, eigsys: Eigensystem | None = None, lambda0=None) -> dict:
     """Run the full construction-and-verification pipeline on one matrix.
 
     Returns every residual of the intertwining, swap, orthogonality,
     product and eigenvalue-preservation checks, the residual that counts
-    for each check (``max_residuals``) and the worst of those.
+    for each check (``max_residuals``) and the worst of those.  For a stack
+    ``(..., n, n)`` every value is an array over the stack, whose entry i
+    equals the report on ``H[i]`` alone bit for bit; the stack raises if
+    any of its matrices would.
     """
     sub = extract_degenerate_subspace(H, eigsys=eigsys, lambda0=lambda0)
     ur = make_upsilon_right(sub)
@@ -301,13 +365,13 @@ def theorem_report(H, eigsys: Eigensystem | None = None,
         "eigenvalue_preservation": verify_eigenvalue_preservation(H, sub, ur),
     }
     report["max_residuals"] = {
-        "intertwining": max(report["intertwining"].values()),
+        "intertwining": _worst(report["intertwining"].values()),
         "swap": report["swap"]["max_residual"],
         "orthogonality": report["orthogonality"]["max_residual"],
         "product": report["product"]["subspace_action_residual"],
         "eigenvalue_preservation": report["eigenvalue_preservation"],
     }
-    report["max_residual"] = max(report["max_residuals"].values())
+    report["max_residual"] = _worst(report["max_residuals"].values())
     return report
 
 
@@ -315,13 +379,18 @@ def run_ensemble(dims=(2, 3, 4, 5, 6, 7, 8), trials: int = 500, seed: int = 0,
                  bound: float = 1e-9, inject_defective: bool = False) -> dict:
     """Verify the operator-pair construction over an engineered ensemble.
 
-    Cycles through ``dims``, drawing a fresh degenerate matrix per trial
-    with a seed offset for determinism.  Returns per-check maxima and a
-    pass flag against ``bound`` (residuals are relative to |H|).  With
-    ``inject_defective`` every matrix carries a Jordan block instead, and
-    the report counts how many trials were correctly rejected.  Raises
-    ``ValueError`` for fewer than one trial, no dimensions or a dimension
-    below 2, where there would be nothing to verify.
+    Trial t draws a degenerate matrix of dimension ``dims[t % len(dims)]``
+    from seed ``seed + t``, with lambda0 drawn from ``seed + 7919 t``.  The
+    trials of one dimension are verified as one stack (one ``eig`` call per
+    dimension); the matrices and residuals equal those of one trial at a
+    time bit for bit.  If a stack raises, its trials are re-run one at a
+    time, so every failure keeps its own trial number and message.
+    Returns per-check maxima and a pass flag against ``bound`` (residuals
+    are relative to |H|).  With ``inject_defective`` every matrix carries a
+    Jordan block instead, and the report counts how many trials were
+    correctly rejected.  Raises ``ValueError`` for fewer than one trial, no
+    dimensions or a dimension below 2, where there would be nothing to
+    verify.
     """
     dims = tuple(dims)
     if trials < 1:
@@ -332,27 +401,44 @@ def run_ensemble(dims=(2, 3, 4, 5, 6, 7, 8), trials: int = 500, seed: int = 0,
              "product": 0.0, "eigenvalue_preservation": 0.0}
     failures = []
     rejected = 0
+
+    def verified(dim, group, rep):
+        if inject_defective:
+            failures.extend({"trial": t, "dim": dim, "seed": seed + t,
+                             "error": "defective input was not rejected"} for t in group)
+            return
+        for check, value in rep["max_residuals"].items():
+            worst[check] = max(worst[check], float(np.max(value)))
+
+    groups = {}
     for trial in range(trials):
-        dim = dims[trial % len(dims)]
-        trial_rng = np.random.default_rng(seed + 7919 * trial)
-        lam0 = complex(trial_rng.uniform(-1, 1), trial_rng.uniform(-1, 1))
-        H = random_degenerate_hamiltonian(dim, seed + trial, lam0,
+        groups.setdefault(dims[trial % len(dims)], []).append(trial)
+    for dim, group in groups.items():
+        lam0 = []
+        for trial in group:
+            trial_rng = np.random.default_rng(seed + 7919 * trial)
+            lam0.append(complex(trial_rng.uniform(-1, 1), trial_rng.uniform(-1, 1)))
+        H = random_degenerate_hamiltonian(dim, [seed + t for t in group], lam0,
                                           defective=inject_defective)
         try:
-            rep = theorem_report(H, lambda0=lam0)
-        except (ValueError, RuntimeError) as exc:
-            if inject_defective:
-                rejected += 1
+            rep = theorem_report(H, lambda0=np.array(lam0))
+        except (ValueError, RuntimeError):
+            pass
+        else:
+            verified(dim, group, rep)
+            continue
+        for trial, Ht, lt in zip(group, H, lam0):
+            try:
+                rep = theorem_report(Ht, lambda0=lt)
+            except (ValueError, RuntimeError) as exc:
+                if inject_defective:
+                    rejected += 1
+                else:
+                    failures.append({"trial": trial, "dim": dim, "seed": seed + trial,
+                                     "error": str(exc)})
                 continue
-            failures.append({"trial": trial, "dim": dim, "seed": seed + trial,
-                             "error": str(exc)})
-            continue
-        if inject_defective:
-            failures.append({"trial": trial, "dim": dim, "seed": seed + trial,
-                             "error": "defective input was not rejected"})
-            continue
-        for check, value in rep["max_residuals"].items():
-            worst[check] = max(worst[check], value)
+            verified(dim, [trial], rep)
+    failures.sort(key=lambda f: f["trial"])
     passed = not failures and (inject_defective or max(worst.values()) <= bound)
     return {
         "trials": trials,

@@ -3,6 +3,7 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from nhdeg import theorem
 from nhdeg.model import _hop_list
 
 
@@ -118,3 +119,83 @@ def operator_matrix_loops(spec, p, nx, ny):
         D = np.concatenate([phase, phase * np.exp(-2j * p.gamma)])
         A = np.diag(D) @ A
     return A
+
+
+def run_ensemble_loop(dims=(2, 3, 4, 5, 6, 7, 8), trials=500, seed=0, bound=1e-9,
+                      inject_defective=False):
+    """One-trial-at-a-time form of ``theorem.run_ensemble`` (byte oracle).
+
+    Draws, verifies and folds each trial in turn through the single-matrix
+    calls of ``random_degenerate_hamiltonian`` and ``theorem_report``, read
+    from the module at call time so that a test can patch them.
+    """
+    dims = tuple(dims)
+    worst = {"intertwining": 0.0, "swap": 0.0, "orthogonality": 0.0,
+             "product": 0.0, "eigenvalue_preservation": 0.0}
+    failures = []
+    rejected = 0
+    for trial in range(trials):
+        dim = dims[trial % len(dims)]
+        trial_rng = np.random.default_rng(seed + 7919 * trial)
+        lam0 = complex(trial_rng.uniform(-1, 1), trial_rng.uniform(-1, 1))
+        H = theorem.random_degenerate_hamiltonian(dim, seed + trial, lam0,
+                                                  defective=inject_defective)
+        try:
+            rep = theorem.theorem_report(H, lambda0=lam0)
+        except (ValueError, RuntimeError) as exc:
+            if inject_defective:
+                rejected += 1
+                continue
+            failures.append({"trial": trial, "dim": dim, "seed": seed + trial,
+                             "error": str(exc)})
+            continue
+        if inject_defective:
+            failures.append({"trial": trial, "dim": dim, "seed": seed + trial,
+                             "error": "defective input was not rejected"})
+            continue
+        for check, value in rep["max_residuals"].items():
+            worst[check] = max(worst[check], value)
+    passed = not failures and (inject_defective or max(worst.values()) <= bound)
+    return {
+        "trials": trials,
+        "dims": list(dims),
+        "seed": seed,
+        "bound": bound,
+        "max_residuals": worst,
+        "failures": failures,
+        "rejected_defective": rejected,
+        "passed": bool(passed),
+    }
+
+
+def theorem_residuals_loop(H, sub, ur, ul):
+    """The verify_* residuals of one matrix in their single-matrix numpy form.
+
+    Byte oracle for the stack-aware ``theorem.verify_*`` functions on one
+    matrix: np.linalg.norm of 1-d and 2-d arrays, np.vdot and Python abs.
+    """
+    ar, al = ur.matrix_part, ul.matrix_part
+    scale = max(1.0, float(np.linalg.norm(H)))
+    swap = [np.linalg.norm(ar @ np.conj(sub.psi_l2) - sub.psi_r1),
+            np.linalg.norm(ar @ np.conj(sub.psi_l1) + sub.psi_r2),
+            np.linalg.norm(al @ np.conj(sub.psi_r2) - sub.psi_l1),
+            np.linalg.norm(al @ np.conj(sub.psi_r1) + sub.psi_l2)]
+    m_rl, m_lr = ar @ np.conj(al), al @ np.conj(ar)
+    proj = (np.outer(sub.psi_r1, np.conj(sub.psi_l1))
+            + np.outer(sub.psi_r2, np.conj(sub.psi_l2)))
+    w = ar @ np.conj(sub.psi_l1)
+    return {
+        "right_residual": float(np.linalg.norm(H @ ar - ar @ H.T) / scale),
+        "left_residual": float(np.linalg.norm(al @ np.conj(H) - H.conj().T @ al) / scale),
+        "swap": float(max(swap)),
+        "left_overlap": float(abs(np.vdot(sub.psi_l1, ar @ np.conj(sub.psi_l1)))),
+        "right_overlap": float(abs(np.vdot(sub.psi_r1, al @ np.conj(sub.psi_r1)))),
+        "subspace_action_residual": float(max(
+            np.linalg.norm(m_rl @ sub.psi_r1 + sub.psi_r1),
+            np.linalg.norm(m_rl @ sub.psi_r2 + sub.psi_r2),
+            np.linalg.norm(m_lr @ sub.psi_l1 + sub.psi_l1),
+            np.linalg.norm(m_lr @ sub.psi_l2 + sub.psi_l2))),
+        "projector_residual": float(np.linalg.norm(m_rl + proj)),
+        "eigenvalue_preservation": float(np.linalg.norm(H @ w - sub.lambda0 * w)
+                                         / max(1.0, np.linalg.norm(H))),
+    }

@@ -124,6 +124,39 @@ def test_eigensystem_n_near_jordan_flags_before_raising(tol):
     assert 0 < flagged < 210
 
 
+def test_stacked_solve_matches_single_solves_bitwise():
+    # a (2, 3) stack with an exact Jordan block (singular R, the pinv path)
+    # and a degenerate cluster among random matrices: entry (i, j) equals
+    # the solve of that matrix alone, bit for bit
+    rng = np.random.default_rng(41)
+    for dim in (2, 5, 8, 12):
+        mats = random_complex(rng, (6, dim, dim))
+        mats[2] = np.eye(dim, k=1)
+        lam = random_complex(rng, dim)
+        lam[1] = lam[0]
+        S = random_complex(rng, (dim, dim))
+        mats[4] = S @ np.diag(lam) @ np.linalg.inv(S)
+        for want_left in (True, False):
+            st = eigensystem_n(mats.reshape(2, 3, dim, dim), want_left=want_left)
+            assert st.residual.shape == st.defective.shape == (2, 3)
+            assert st.defective[0, 2] == want_left
+            for i in range(6):
+                one = eigensystem_n(mats[i], want_left=want_left)
+                j = divmod(i, 3)
+                assert st.eigenvalues[j].tobytes() == one.eigenvalues.tobytes()
+                assert st.right[j].tobytes() == one.right.tobytes()
+                if want_left:
+                    assert st.left[j].tobytes() == one.left.tobytes()
+                assert st.residual[j] == one.residual
+                assert st.defective[j] == one.defective
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+def test_non_square_input_raises(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        eigensystem_n(np.zeros(shape))
+
+
 def test_eigensystem_n_dimension_cap():
     with pytest.raises(ValueError):
         eigensystem_n(np.zeros((3000, 3000)))

@@ -162,6 +162,21 @@ def test_point_order_is_stable_against_solver_noise(monkeypatch, fold):
     assert [kind for kind, _ in orders[0]].count("nondefective") == 1 + (not fold)
 
 
+@pytest.mark.parametrize("fold", [False, True])
+def test_seam_points_read_near_minus_pi(fold):
+    # the gamma = pi/2 (pi, -pi) touching lands about 3.5e-9 below kx = pi;
+    # it is reported at its k - 2 pi image, like the exact seam points
+    p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=np.pi / 2)
+    points = find_degeneracies(p, 301, 301, fold=fold).points
+    half_step = np.pi / 2**20
+    coords = [k for q in points for k in (q.kx, q.ky)]
+    assert all(-np.pi - half_step <= k < np.pi - half_step for k in coords)
+    seam = [q for q in points if abs(abs(q.kx) - np.pi) < 1e-6]
+    assert seam and all(q.kx <= -np.pi + 1e-6 for q in seam)
+    assert any(q.kx != -np.pi for q in seam)  # the image, not the constant -pi
+    assert points == sorted(points, key=nhdeg.scanner._sort_key)
+
+
 def test_gapped_regime_has_no_degeneracies():
     p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
     res = find_degeneracies(p, 201, 201)

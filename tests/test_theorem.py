@@ -1,10 +1,13 @@
 """Tests for the anti-unitary operator-pair construction and its relations."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import nhdeg.theorem
+from _oracles import run_ensemble_loop, theorem_residuals_loop
 from nhdeg.linalg import eigensystem_n
 from nhdeg.model import ModelParams, bloch_hamiltonian, real_space_hamiltonian
 from nhdeg.theorem import (DegenerateSubspace, extract_degenerate_subspace,
@@ -234,3 +237,117 @@ def test_ensemble_zero_trials():
 def test_ensemble_rejects_bad_dims(dims):
     with pytest.raises(ValueError, match="dimensions"):
         run_ensemble(dims=dims, trials=3)
+
+
+@pytest.mark.parametrize("inject", [False, True])
+@pytest.mark.parametrize("seed", [0, 3, 5])
+@pytest.mark.parametrize("dims", [(2,), (3, 8), range(2, 9)])
+def test_ensemble_matches_the_per_trial_oracle(dims, seed, inject):
+    kw = dict(dims=dims, trials=60, seed=seed, inject_defective=inject)
+    assert json.dumps(run_ensemble(**kw)) == json.dumps(run_ensemble_loop(**kw))
+
+
+def _flat(report, prefix=""):
+    out = {}
+    for key, value in report.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_stacked_pipeline_matches_single_matrix_calls(dim):
+    # entry i of every stacked result is bitwise the single-matrix result;
+    # at dims 6 and 7 some of these seeds redraw their spectrum
+    seeds = [11 + 3 * i for i in range(9)]
+    lam0 = [complex(0.3 * i - 1.0, 0.7 - 0.2 * i) for i in range(9)]
+    H = random_degenerate_hamiltonian(dim, seeds, lam0)
+    assert H.shape == (9, dim, dim)
+    stacked_es = eigensystem_n(H)
+    stacked = _flat(theorem_report(H, lambda0=np.array(lam0)))
+    for i, (s, l0) in enumerate(zip(seeds, lam0)):
+        one = random_degenerate_hamiltonian(dim, s, l0)
+        assert one.tobytes() == H[i].tobytes()
+        es = eigensystem_n(one)
+        for field in ("eigenvalues", "right", "left"):
+            assert getattr(stacked_es, field)[i].tobytes() == getattr(es, field).tobytes()
+        assert stacked_es.residual[i] == es.residual
+        assert type(es.residual) is float and type(es.defective) is bool
+        single = _flat(theorem_report(one, lambda0=l0))
+        assert list(stacked) == list(single)
+        for key, value in single.items():
+            assert type(value) in (float, complex), key
+            assert np.asarray(stacked[key][i]).tobytes() == np.asarray(value).tobytes(), key
+
+
+def test_single_matrix_residuals_keep_their_numpy_forms():
+    # bitwise equal to np.linalg.norm, np.vdot and Python abs on one matrix,
+    # C- or Fortran-ordered; np.abs of a complex number, for one, differs in
+    # the last bit, and so does a norm summed out of memory order
+    for trial in range(140):
+        dim = 2 + trial % 7
+        lam0 = complex(np.cos(trial), np.sin(2 * trial))
+        H = random_degenerate_hamiltonian(dim, 1000 + trial, lam0)
+        if trial % 2:
+            H = np.asfortranarray(H)
+        sub = extract_degenerate_subspace(H, lambda0=lam0)
+        ur, ul = make_upsilon_right(sub), make_upsilon_left(sub)
+        want = theorem_residuals_loop(H, sub, ur, ul)
+        orth = verify_orthogonality(sub, ur, ul)
+        got = dict(verify_intertwining(H, ur, ul),
+                   swap=verify_swap_action(sub, ur, ul)["max_residual"],
+                   left_overlap=orth["left_overlap"], right_overlap=orth["right_overlap"],
+                   eigenvalue_preservation=verify_eigenvalue_preservation(H, sub, ur))
+        got.update({k: v for k, v in verify_pair_product(sub, ur, ul).items()
+                    if k != "full_space_residual"})
+        assert got == want
+
+
+def test_defective_matrix_in_a_stack_fails_only_its_trial(monkeypatch):
+    # one Jordan matrix in the middle of the dim-5 stack: the stack raises,
+    # its trials are re-run one at a time, and only that trial fails, with
+    # the message the per-trial loop gives
+    seed, bad_trial = 2, 19
+    draw = nhdeg.theorem.random_degenerate_hamiltonian
+
+    def one_defective(dim, seeds, lam0, defective=False):
+        H = draw(dim, seeds, lam0, defective=defective)
+        flat, lams = np.ravel(seeds), np.ravel(lam0)
+        for i in np.flatnonzero(flat == seed + bad_trial):
+            H.reshape(-1, dim, dim)[i] = draw(dim, seed + bad_trial, lams[i], defective=True)
+        return H
+
+    monkeypatch.setattr(nhdeg.theorem, "random_degenerate_hamiltonian", one_defective)
+    rep = run_ensemble(dims=(2, 3, 4, 5), trials=40, seed=seed)
+    oracle = run_ensemble_loop(dims=(2, 3, 4, 5), trials=40, seed=seed)
+    assert [f["trial"] for f in rep["failures"]] == [bad_trial]
+    assert rep["failures"] == oracle["failures"]
+    assert "defective" in rep["failures"][0]["error"]
+    assert json.dumps(rep) == json.dumps(oracle)
+
+
+def test_ensemble_makes_one_eig_call_per_dimension(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    rep = run_ensemble(dims=range(2, 9), trials=500, seed=0)
+    assert rep["passed"]
+    assert len(calls) == 7
+    assert calls == [(len(range(d - 2, 500, 7)), d, d) for d in range(2, 9)]
+
+
+def test_stack_errors_name_the_first_failing_matrix():
+    H = random_degenerate_hamiltonian(4, [1, 2, 3], 0.5)
+    H[1] = np.diag([0.5, 1.0, 2.0, 3.0])  # no twofold cluster
+    with pytest.raises(ValueError, match=r"found 0 .*\(stack entry 1\)$"):
+        theorem_report(H, lambda0=0.5)
+    with pytest.raises(ValueError, match=r"expected exactly one twofold cluster, found 0 "
+                                         r"\(eigenvalues array\(\[0\.5\+0\.j"):
+        theorem_report(H[1], lambda0=0.5)
