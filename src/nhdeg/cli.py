@@ -16,6 +16,7 @@ Identical configurations (including --seed) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict
@@ -23,10 +24,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .model import ModelParams, _k_grid, load_params, phase_boundaries, phase_classify
+from .model import (ModelParams, _k_grid, _phase_labels, load_params, phase_boundaries,
+                    phase_classify)
 from .ribbon import localization, obc_defective_check, ribbon_spectrum, skin_metric
 from .scanner import find_degeneracies, scan_discriminant  # noqa: F401 (perfbench reads it)
-from .serialize import (json_document, write_band_csv, write_json,
+from .serialize import (FORMAT, json_document, write_band_csv, write_json,
                         write_vector_field_csv)
 from .symmetry import symmetry_survey
 from .theorem import run_ensemble
@@ -133,17 +135,26 @@ def cmd_phases(args) -> int:
     p = _params_from(args)
     v_values = np.linspace(args.v_min, args.v_max, args.v_steps)
     g_values = np.linspace(args.g_min, args.g_max, args.g_steps)
+    tol = args.boundary_tol
+    v_texts = [repr(float(v)) for v in v_values]
     path = _outpath(args, "phases.csv")
     with open(path, "w") as fh:
-        fh.write("# format=nhdeg/1\n")
+        fh.write(f"# format={FORMAT}\n")
         fh.write("g,v,v1,v2,phase\n")
-        for g in g_values:
+        for row, g in enumerate(g_values):
             pg = p.replace(ga=float(g), gb=float(g))
+            if row == 0:
+                # what a point-by-point sweep checks, in its order: the first
+                # point in full, then the other potentials; the regime and the
+                # potentials are the same on every row
+                phase_classify(pg.replace(v=float(v_values[0])), tol)
+                bad = ~np.isfinite(v_values)
+                if bad.any():
+                    pg.replace(v=float(v_values[bad.argmax()]))   # raises
             v1, v2 = phase_boundaries(pg)
-            for v in v_values:
-                label = phase_classify(pg.replace(v=float(v)), tol=args.boundary_tol)
-                fh.write(f"{float(g)!r},{float(v)!r},{float(v1)!r},{float(v2)!r},"
-                         f"{label}\n")
+            head, tail = repr(float(g)), f"{float(v1)!r},{float(v2)!r}"
+            fh.writelines(f"{head},{v_text},{tail},{label}\n" for v_text, label
+                          in zip(v_texts, _phase_labels(pg, v_values, tol)))
     v1, v2 = phase_boundaries(p)
     print(f"phases: v1 = {v1:.6f}, v2 = {v2:.6f} at the file parameters; "
           f"grid written to {path}")
@@ -188,6 +199,7 @@ def cmd_ribbon(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nhdeg", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -203,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--tol", type=float, default=None, help="override the residual bound")
     t.add_argument("--seed", type=int, default=0)
     _add_common(t)
-    t.set_defaults(func=cmd_theorem)
 
     s = sub.add_parser("scan", help="find and classify degeneracies")
     s.add_argument("--params", required=True)
@@ -213,14 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="merge points equivalent under the reduced zone")
     s.add_argument("--tol", type=float, default=None, help="override the Newton tolerance")
     _add_common(s)
-    s.set_defaults(func=cmd_scan)
 
     y = sub.add_parser("symmetry", help="survey the built-in symmetries")
     y.add_argument("--params", required=True)
     y.add_argument("--nx", type=_count, default=32)
     y.add_argument("--ny", type=_count, default=32)
     _add_common(y)
-    y.set_defaults(func=cmd_symmetry)
 
     phases_help = "staggered-potential phase sweep; needs 0 < gamma < pi/2 and gx = gy = 0"
     f = sub.add_parser("phases", help=phases_help, description=phases_help)
@@ -233,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--g-steps", type=_count, default=11)
     f.add_argument("--boundary-tol", type=float, default=1e-6)
     _add_common(f)
-    f.set_defaults(func=cmd_phases)
 
     ribbon_help = ("ribbon spectra and localization; edge_mode_sides are read at the "
                    "sampled momentum nearest |k| = pi/2 but not on it, since the edge "
@@ -250,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transverse momentum for the zero-mode pair check")
     r.add_argument("--dump-vectors", action="store_true")
     _add_common(r)
-    r.set_defaults(func=cmd_ribbon)
     return ap
 
 
@@ -262,7 +269,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* runs under the cached parser
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

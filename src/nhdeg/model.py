@@ -314,13 +314,19 @@ def phase_classify(p: ModelParams, tol: float = 1e-9) -> str:
         raise ValueError(f"phase_classify requires 0 < gamma < pi/2, got {p.gamma}")
     if p.gx != 0.0 or p.gy != 0.0:
         raise ValueError("phase_classify requires gx = gy = 0")
+    return str(_phase_labels(p, p.v, tol))
+
+
+def _phase_labels(p: ModelParams, v, tol: float) -> np.ndarray:
+    """The labels of ``phase_classify`` for potentials ``v`` (broadcasts).
+
+    The boundaries are those of ``p``; ``p.v`` is not read and nothing is
+    checked.
+    """
     v1, v2 = phase_boundaries(p)
     lo, hi = min(v1, v2), max(v1, v2)
-    if min(abs(p.v - v1), abs(p.v - v2)) < tol:
-        return "boundary_gapless"
-    if lo < p.v < hi:
-        return "topological_insulator"
-    return "band_insulator"
+    labels = np.where((lo < v) & (v < hi), "topological_insulator", "band_insulator")
+    return np.where(np.minimum(abs(v - v1), abs(v - v2)) < tol, "boundary_gapless", labels)
 
 
 # ---------------------------------------------------------------------------

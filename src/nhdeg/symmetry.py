@@ -143,14 +143,20 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
     the grid, whose residual lies within a relative 1e-12 of the extremum.
     """
     W = _spinor_part(spec, p)
+    # W = [[0, a], [b, 0]], so h W swaps the columns of h and scales them by
+    # (b, a), and W h swaps its rows and scales them by (a, b)
+    col = np.array([W[1, 0], W[0, 1]])
+    row = col[::-1, None]
     pp = apply_parameter_map(spec, p)
     kxs, kys = _k_grid(nx), _k_grid(ny)
     # kx on the first axis, so the flat order is the kx-outer scan order
     kx, ky = kxs[:, None], kys[None, :]
     h_a = bloch_hamiltonian(p, *_momentum_action(spec, p, kx, ky))
     h_t = bloch_hamiltonian(pp, -kx, -ky)
-    r_r = np.linalg.norm(h_a @ W - W @ h_t.swapaxes(-1, -2), axis=(-2, -1))
-    r_l = np.linalg.norm(W @ h_t.conj() - h_a.conj().swapaxes(-1, -2) @ W, axis=(-2, -1))
+    r_r = np.linalg.norm(h_a[..., ::-1] * col - h_t.swapaxes(-1, -2)[..., ::-1, :] * row,
+                         axis=(-2, -1))
+    r_l = np.linalg.norm(h_t.conj()[..., ::-1, :] * row
+                         - h_a.conj().swapaxes(-1, -2)[..., ::-1] * col, axis=(-2, -1))
     r = np.maximum(r_r, r_l)
     # argmax of a mask is its first True
     worst = np.unravel_index(np.argmax(r >= r.max() * (1 - _TIE_RTOL)), r.shape)

@@ -4,7 +4,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from nhdeg import theorem
-from nhdeg.model import _hop_list
+from nhdeg.model import _hop_list, _k_grid, bloch_hamiltonian, phase_boundaries
+from nhdeg.serialize import FORMAT
+from nhdeg.symmetry import (_TIE_RTOL, HOLD_TOL, SymmetryReport, _momentum_action,
+                            _spinor_part, apply_parameter_map)
 
 
 def match_eigenvalue_multisets(a, b) -> float:
@@ -199,3 +202,61 @@ def theorem_residuals_loop(H, sub, ur, ul):
         "eigenvalue_preservation": float(np.linalg.norm(H @ w - sub.lambda0 * w)
                                          / max(1.0, np.linalg.norm(H))),
     }
+
+
+def check_bloch_matmul(p, spec, nx=32, ny=32):
+    """``symmetry.check_bloch`` with W applied as stacked (nx, ny, 2, 2) @ (2, 2) products.
+
+    Reference for the swap-and-scale form: the same grid, relations, tie
+    rule and scale.  Where W is complex its products round differently
+    from the package's, so residuals agree to rounding only.
+    """
+    W = _spinor_part(spec, p)
+    pp = apply_parameter_map(spec, p)
+    kxs, kys = _k_grid(nx), _k_grid(ny)
+    kx, ky = kxs[:, None], kys[None, :]
+    h_a = bloch_hamiltonian(p, *_momentum_action(spec, p, kx, ky))
+    h_t = bloch_hamiltonian(pp, -kx, -ky)
+    r_r = np.linalg.norm(h_a @ W - W @ h_t.swapaxes(-1, -2), axis=(-2, -1))
+    r_l = np.linalg.norm(W @ h_t.conj() - h_a.conj().swapaxes(-1, -2) @ W, axis=(-2, -1))
+    r = np.maximum(r_r, r_l)
+    worst = np.unravel_index(np.argmax(r >= r.max() * (1 - _TIE_RTOL)), r.shape)
+    best = np.unravel_index(np.argmax(r <= r.min() * (1 + _TIE_RTOL)), r.shape)
+    scale = max(float(np.linalg.norm(h_a, axis=(-2, -1)).max()), 1.0)
+    return SymmetryReport(
+        name=spec.name,
+        right_residual=float(r_r[worst] / scale),
+        left_residual=float(r_l[worst] / scale),
+        grid_max_k=(float(kxs[worst[0]]), float(kys[worst[1]])),
+        grid_min_residual=float(r[best] / scale),
+        grid_min_k=(float(kxs[best[0]]), float(kys[best[1]])),
+        holds=bool(r[worst] / scale < HOLD_TOL),
+    )
+
+
+def phases_csv_loop(p, v_min, v_max, v_steps, g_min, g_max, g_steps, tol):
+    """Point-by-point form of ``nhdeg phases`` (byte oracle): the text of phases.csv.
+
+    Rebuilds the parameters at every (g, v) point, which checks them, and
+    labels the point with the scalar regime guard and rule.
+    """
+    v_values = np.linspace(v_min, v_max, v_steps)
+    g_values = np.linspace(g_min, g_max, g_steps)
+    lines = [f"# format={FORMAT}\n", "g,v,v1,v2,phase\n"]
+    for g in g_values:
+        pg = p.replace(ga=float(g), gb=float(g))
+        v1, v2 = phase_boundaries(pg)
+        for v in v_values:
+            q = pg.replace(v=float(v))
+            if not (0.0 < q.gamma < np.pi / 2):
+                raise ValueError(f"phase_classify requires 0 < gamma < pi/2, got {q.gamma}")
+            if q.gx != 0.0 or q.gy != 0.0:
+                raise ValueError("phase_classify requires gx = gy = 0")
+            if min(abs(q.v - v1), abs(q.v - v2)) < tol:
+                label = "boundary_gapless"
+            elif min(v1, v2) < q.v < max(v1, v2):
+                label = "topological_insulator"
+            else:
+                label = "band_insulator"
+            lines.append(f"{float(g)!r},{float(v)!r},{float(v1)!r},{float(v2)!r},{label}\n")
+    return "".join(lines)

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import phases_csv_loop
 
 import nhdeg
-from nhdeg.cli import main
-from nhdeg.model import ModelParams, save_params
+import nhdeg.cli
+from nhdeg.cli import build_parser, main
+from nhdeg.model import ModelParams, phase_boundaries, save_params
 from nhdeg.scanner import ScalarField, scan_discriminant
 from nhdeg.ribbon import RibbonBand
 from nhdeg.serialize import (FORMAT, read_vector_field_csv, write_band_csv,
@@ -142,6 +144,43 @@ def test_vector_field_rejects_bad_header(tmp_path):
 def test_cli_usage_error_exit_code():
     assert main(["scan"]) == 2  # missing --params
     assert main(["no-such-command"]) == 2
+
+
+def test_cli_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path, regime1_file,
+                                                              capsys):
+    assert build_parser() is build_parser()
+    params = ["--params", str(regime1_file)]
+    argvs = [["scan", *params, "--nx", "11", "--fold-bz"], ["theorem", "--trials", "3"],
+             ["symmetry", *params], ["phases", *params, "--v-steps", "5"],
+             ["ribbon", *params, "--axis", "y"], ["scan", *params]]
+    for argv in argvs:
+        # no flag or default of an earlier command leaks into a later one
+        assert vars(build_parser().parse_args(argv)) == vars(
+            build_parser.__wrapped__().parse_args(argv))
+    texts = []
+    for argv in (["--help"], ["scan", "--help"], ["--help"], ["scan", "--nx", "0"],
+                 ["no-such-command"], ["scan", "--nx", "0"]):
+        code = main(argv)
+        texts.append((code, capsys.readouterr()))
+    assert [code for code, _ in texts] == [0, 0, 0, 2, 2, 2]
+    assert texts[0] == texts[2] and texts[3] == texts[5]
+    assert texts[0][1].out == build_parser.__wrapped__().format_help()
+    assert "--fold-bz" in texts[1][1].out
+    assert "argument --nx: expected a positive integer" in texts[3][1].err
+
+
+def test_cli_consecutive_commands_run_the_current_functions(tmp_path, regime1_file,
+                                                            monkeypatch):
+    out = tmp_path / "out"
+    assert main(["symmetry", "--params", str(regime1_file), "--nx", "6", "--ny", "6",
+                 "--out", str(out)]) == 0
+    assert main(["theorem", "--trials", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["symmetry.json", "theorem.json"]
+    # a rebound command is the one the cached parser's dispatch reaches
+    seen = []
+    monkeypatch.setattr(nhdeg.cli, "cmd_symmetry", lambda args: seen.append(args) or 7)
+    assert main(["symmetry", "--params", str(regime1_file)]) == 7
+    assert seen[0].command == "symmetry" and seen[0].nx == 32
 
 
 def test_cli_bad_params_file(tmp_path):
@@ -275,6 +314,94 @@ def test_cli_phases(tmp_path, gapped_file):
     # numeric fields are plain float reprs, not numpy scalar reprs
     for ln in lines[2:]:
         assert all(math.isfinite(float(f)) for f in ln.split(",")[:4])
+
+
+def run_phases(tmp_path, p, sweep, tag):
+    """`nhdeg phases` on p with the sweep (v_min, v_max, v_steps, g_min, g_max,
+    g_steps, boundary_tol); returns the exit code and the path of phases.csv."""
+    pf, out = tmp_path / f"{tag}.txt", tmp_path / tag
+    save_params(p, pf)
+    flags = ("--v-min", "--v-max", "--v-steps", "--g-min", "--g-max", "--g-steps",
+             "--boundary-tol")
+    argv = ["phases", "--params", str(pf), "--out", str(out)]
+    argv += [f"{flag}={value!r}" for flag, value in zip(flags, sweep)]
+    return main(argv), out / "phases.csv"
+
+
+_TOPO = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
+_V2 = float(phase_boundaries(_TOPO.replace(ga=0.2, gb=0.2))[1])
+PHASE_SWEEPS = {
+    "readme": (_TOPO, (-6.0, 6.0, 121, 0.0, 1.0, 11, 1e-6)),
+    # steps of half a tolerance across v2 at g = 0.2, and across v1
+    "near_v2": (_TOPO, (_V2 - 2e-6, _V2 + 2e-6, 9, 0.2, 0.2, 3, 1e-6)),
+    "near_v1": (_TOPO, (-_V2 - 3e-6, -_V2 + 3e-6, 13, 0.2, 0.2, 1, 1e-6)),
+    # both boundaries at 0 (as -0.0 and 0.0), which the grid hits
+    "t1_zero": (_TOPO.replace(t1=0.0), (-1.0, 1.0, 11, 0.0, 0.5, 2, 1e-6)),
+    "g_across_zero": (_TOPO, (-6.0, 6.0, 25, -1.0, 1.0, 9, 1e-6)),
+    "one_v": (_TOPO, (2.5, 6.0, 1, 0.0, 1.0, 4, 1e-6)),
+    "negative_t1": (_TOPO.replace(t1=-0.4, mu_a=0.3), (-3.0, 3.0, 31, -0.5, 2.0, 5, 1e-3)),
+}
+
+
+@pytest.mark.parametrize("name", PHASE_SWEEPS)
+def test_cli_phases_matches_point_loop(tmp_path, name):
+    p, sweep = PHASE_SWEEPS[name]
+    rc, path = run_phases(tmp_path, p, sweep, name)
+    assert rc == 0
+    want = phases_csv_loop(p, *sweep)
+    if name.startswith("near_"):
+        assert {"boundary_gapless", "band_insulator", "topological_insulator"} <= {
+            line.rsplit(",", 1)[1] for line in want.splitlines()[2:]}
+    assert path.read_bytes() == want.encode()
+
+
+def test_cli_phases_matches_point_loop_on_seeded_sweeps(tmp_path):
+    rng = np.random.default_rng(3)
+    for trial in range(12):
+        p = ModelParams(t1=rng.uniform(-1, 1), gamma=rng.uniform(0.01, 1.56),
+                        mu_a=rng.uniform(-1, 1), mu_b=rng.uniform(-1, 1))
+        v_min, v_max = sorted(rng.uniform(-8, 8, size=2).tolist())
+        g_min, g_max = rng.uniform(-1.5, 1.5, size=2).tolist()
+        sweep = (v_min, v_max, int(rng.integers(1, 40)), g_min, g_max,
+                 int(rng.integers(1, 6)), float(rng.choice([1e-6, 0.05, 0.5])))
+        rc, path = run_phases(tmp_path, p, sweep, f"s{trial}")
+        assert rc == 0
+        assert path.read_bytes() == phases_csv_loop(p, *sweep).encode(), (p, sweep)
+
+
+_README_SWEEP = PHASE_SWEEPS["readme"][1]
+
+
+@pytest.mark.parametrize("p,changes,message", [
+    (_TOPO, {1: math.inf}, "parameter v is not finite: nan"),
+    (_TOPO, {3: math.nan}, "parameter ga is not finite: nan"),
+    # at a point, g is checked before v and v before the regime
+    (_TOPO.replace(gx=0.1), {3: math.nan, 0: -math.inf}, "parameter ga is not finite: nan"),
+    (_TOPO.replace(gamma=0.0), {0: -math.inf}, "parameter v is not finite: nan"),
+    (_TOPO.replace(gamma=0.0), {}, "phase_classify requires 0 < gamma < pi/2, got 0.0"),
+    (_TOPO.replace(gx=0.1), {}, "phase_classify requires gx = gy = 0"),
+])
+def test_cli_phases_rejects_what_the_point_loop_rejects(tmp_path, capsys, p, changes,
+                                                        message):
+    sweep = tuple(changes.get(i, value) for i, value in enumerate(_README_SWEEP))
+    assert run_phases(tmp_path, p, sweep, "bad")[0] == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ValueError) as exc:
+        phases_csv_loop(p, *sweep)
+    assert str(exc.value) == message
+
+
+def test_cli_phases_checks_the_potentials_in_sweep_order(tmp_path, capsys, monkeypatch):
+    # np.linspace puts a non-finite value at the first point whenever it makes
+    # one; a sweep with one further on is checked in sweep order all the same
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda a, b, n: (
+        np.array([1.0, 2.0, -math.inf, math.nan]) if n == 4 else linspace(a, b, n)))
+    sweep = (0.0, 1.0, 4, 0.0, 1.0, 2, 1e-6)
+    assert run_phases(tmp_path, _TOPO, sweep, "order")[0] == 2
+    assert capsys.readouterr().err == "error: parameter v is not finite: -inf\n"
+    with pytest.raises(ValueError, match="^parameter v is not finite: -inf$"):
+        phases_csv_loop(_TOPO, *sweep)
 
 
 def readme_cli_recipes():

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from _oracles import operator_matrix_loops
+from _oracles import check_bloch_matmul, operator_matrix_loops
 
 import nhdeg.symmetry
-from nhdeg.model import ModelParams, bloch_hamiltonian
+from nhdeg.model import ModelParams, bloch_hamiltonian, phase_boundaries
 from nhdeg.symmetry import (BUILTIN_NAMES, _momentum_action, _operator_matrix,
                             _spinor_part, apply_parameter_map, builtin_spec,
                             check_bloch, check_realspace, pair_product_phase,
@@ -117,6 +117,51 @@ def test_check_bloch_matches_scalar_loop(params, name):
     assert rep.right_residual == pytest.approx(right, rel=0, abs=1e-12)
     assert rep.left_residual == pytest.approx(left, rel=0, abs=1e-12)
     assert rep.grid_min_residual == pytest.approx(best, rel=0, abs=1e-12)
+
+
+_DIAG = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
+README_RECIPES = {
+    "pinned": REGIME1,
+    "closure": _DIAG.replace(v=phase_boundaries(_DIAG)[1]),
+    "coexist0": _DIAG.replace(gamma=0.0),
+    "coexist_pi2": _DIAG.replace(gamma=np.pi / 2),
+    "topo": _DIAG,
+}
+
+
+def assert_survey_matches_matmul_form(p, nx, ny):
+    survey = symmetry_survey(p, nx, ny)
+    ref = {name: check_bloch_matmul(p, builtin_spec(name), nx, ny) for name in BUILTIN_NAMES}
+    assert survey["holding"] == [name for name, rep in ref.items() if rep.holds]
+    for name, rep in survey["reports"].items():
+        want = ref[name]
+        assert (rep.holds, rep.grid_max_k, rep.grid_min_k) == (
+            want.holds, want.grid_max_k, want.grid_min_k), (name, p, nx, ny)
+        # a complex W rounds its products differently from a matmul
+        for field in ("right_residual", "left_residual", "grid_min_residual"):
+            assert abs(getattr(rep, field) - getattr(want, field)) <= 1e-15, (name, field, p)
+    return survey["holding"]
+
+
+@pytest.mark.parametrize("recipe", README_RECIPES)
+def test_check_bloch_matches_matmul_form_on_readme_recipes(recipe):
+    assert_survey_matches_matmul_form(README_RECIPES[recipe], 32, 32)
+
+
+def test_check_bloch_matches_matmul_form_on_seeded_draws():
+    # t1 = v = 0 lets upsilon hold and v = 0 the primed specs, with a real W
+    # at gamma = 0 and a complex one elsewhere; odd sizes move the grid
+    rng = np.random.default_rng(11)
+    held = set()
+    for trial in range(240):
+        gamma = (0.0, np.pi / 4, np.pi / 2, rng.uniform(-np.pi, np.pi))[trial % 4]
+        t1 = 0.0 if trial % 3 == 0 else rng.uniform(-1, 1)
+        v = 0.0 if trial % 3 < 2 else rng.uniform(-1, 1)
+        p = ModelParams(t1=t1, v=v, gamma=gamma, gx=rng.uniform(-1, 1),
+                        gy=rng.uniform(-1, 1), ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1))
+        nx, ny = (int(n) for n in rng.integers(4, 21, size=2))
+        held.update(assert_survey_matches_matmul_form(p, nx, ny))
+    assert held == set(BUILTIN_NAMES)
 
 
 @pytest.mark.parametrize("params,name", [
