@@ -47,6 +47,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _finite(text: str, least: float = -np.inf) -> float:
+    """Argument type of the phase-sweep floats: finite and at least ``least``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value >= least):
+        floor = f" >= {least:g}" if np.isfinite(least) else ""
+        raise argparse.ArgumentTypeError(f"expected a finite number{floor}, got {text!r}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
 
@@ -234,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     phases_help = "staggered-potential phase sweep; needs 0 < gamma < pi/2 and gx = gy = 0"
     f = sub.add_parser("phases", help=phases_help, description=phases_help)
     f.add_argument("--params", required=True)
-    f.add_argument("--v-min", type=float, default=-6.0)
-    f.add_argument("--v-max", type=float, default=6.0)
+    f.add_argument("--v-min", type=_finite, default=-6.0)
+    f.add_argument("--v-max", type=_finite, default=6.0)
     f.add_argument("--v-steps", type=_count, default=121)
-    f.add_argument("--g-min", type=float, default=0.0)
-    f.add_argument("--g-max", type=float, default=1.0)
+    f.add_argument("--g-min", type=_finite, default=0.0)
+    f.add_argument("--g-max", type=_finite, default=1.0)
     f.add_argument("--g-steps", type=_count, default=11)
-    f.add_argument("--boundary-tol", type=float, default=1e-6)
+    f.add_argument("--boundary-tol", type=functools.partial(_finite, least=0.0), default=1e-6)
     _add_common(f)
 
     ribbon_help = ("ribbon spectra and localization; edge_mode_sides are read at the "

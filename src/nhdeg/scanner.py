@@ -166,13 +166,14 @@ def _sign_change_cells(values: np.ndarray) -> np.ndarray:
 
 def _local_minima(absval: np.ndarray, threshold: float) -> np.ndarray:
     """Torus-wrapped 8-neighbor local minima of |eta| below the threshold."""
-    m = np.ones_like(absval, dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            m &= absval <= np.roll(np.roll(absval, dy, axis=0), dx, axis=1)
-    return np.argwhere(m & (absval < threshold))
+    ny, nx = absval.shape
+    ring = np.pad(absval, 1, mode="wrap")
+    m = absval < threshold
+    for oy in range(3):
+        for ox in range(3):
+            if oy != 1 or ox != 1:
+                m &= absval <= ring[oy:oy + ny, ox:ox + nx]
+    return np.argwhere(m)
 
 
 def _refine(p: ModelParams, seeds: np.ndarray, tol: float):
@@ -414,7 +415,8 @@ def zero_curves(fld: ScalarField, which: str, zero_tol: float = 0.0) -> ZeroCurv
 
     ``which`` selects 'Re_eta' or 'Im_eta' for a complex discriminant field
     (or 'field' for an already real field).  Identically vanishing fields
-    are reported through ``everywhere_zero`` instead of polylines.
+    are reported through ``everywhere_zero`` instead of polylines.  Each
+    axis needs at least 2 samples.
     """
     if which in ("Re_eta", "field"):
         comp = fld.values.real
@@ -422,6 +424,10 @@ def zero_curves(fld: ScalarField, which: str, zero_tol: float = 0.0) -> ZeroCurv
         comp = fld.values.imag
     else:
         raise ValueError(f"unknown component {which!r}")
+    for axis, k in (("kx", fld.kx), ("ky", fld.ky)):
+        if len(k) < 2:
+            raise ValueError(f"zero_curves needs at least 2 samples on the {axis} "
+                             f"axis, got {len(k)}")
     scale = float(np.abs(comp).max())
     if scale < 1e-12:
         return ZeroCurve(which=which, polylines=[], everywhere_zero=True)
@@ -446,23 +452,25 @@ def _near_vertex_nodes(kx, ky, vertices, radius):
     """Mask of the grid nodes closer than ``radius`` (planar) to a vertex.
 
     Each vertex is binned to its grid cell and only the nodes within
-    ceil(radius / dk) + 1 cells of it are measured, one window offset at a
-    time, so time and memory are linear in the number of vertices.
+    ceil(radius / dk) + 1 cells of it are measured, all window offsets of
+    all vertices in one pass.  Time and memory are linear in the number of
+    vertices: at radius 2 dk the transient arrays take about 2 kB per
+    vertex (a tracemalloc peak of 0.7 MB for 266 vertices on 121^2 and
+    8.6 MB for 4 008 on 1001^2).
     """
     dkx, dky = kx[1] - kx[0], ky[1] - ky[0]
     wx, wy = int(np.ceil(radius / dkx)) + 1, int(np.ceil(radius / dky)) + 1
-    vx, vy = vertices[:, 0], vertices[:, 1]
-    cx = np.floor((vx - kx[0]) / dkx).astype(int)
-    cy = np.floor((vy - ky[0]) / dky).astype(int)
+    vx, vy = vertices[:, :1], vertices[:, 1:]
+    oy, ox = np.mgrid[-wy:wy + 1, -wx:wx + 1].reshape(2, 1, -1)
+    jx = np.floor((vx - kx[0]) / dkx).astype(int) + ox  # (vertex, offset)
+    jy = np.floor((vy - ky[0]) / dky).astype(int) + oy
+    inside = (jx >= 0) & (jx < len(kx)) & (jy >= 0) & (jy < len(ky))
+    jx, jy = jx[inside], jy[inside]
+    dx = np.broadcast_to(vx, inside.shape)[inside] - kx[jx]
+    dy = np.broadcast_to(vy, inside.shape)[inside] - ky[jy]
+    near = np.sqrt(dx * dx + dy * dy) < radius
     mask = np.zeros((len(ky), len(kx)), dtype=bool)
-    for oy in range(-wy, wy + 1):
-        for ox in range(-wx, wx + 1):
-            jx, jy = cx + ox, cy + oy
-            inside = (jx >= 0) & (jx < len(kx)) & (jy >= 0) & (jy < len(ky))
-            jx, jy = jx[inside], jy[inside]
-            dx, dy = vx[inside] - kx[jx], vy[inside] - ky[jy]
-            near = np.sqrt(dx * dx + dy * dy) < radius
-            mask[jy[near], jx[near]] = True
+    mask[jy[near], jx[near]] = True
     return mask
 
 

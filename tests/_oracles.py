@@ -260,3 +260,33 @@ def phases_csv_loop(p, v_min, v_max, v_steps, g_min, g_max, g_steps, tol):
                 label = "band_insulator"
             lines.append(f"{float(g)!r},{float(v)!r},{float(v1)!r},{float(v2)!r},{label}\n")
     return "".join(lines)
+
+
+def near_vertex_nodes_loops(kx, ky, vertices, radius):
+    """One-window-offset-at-a-time form of ``scanner._near_vertex_nodes`` (byte oracle)."""
+    dkx, dky = kx[1] - kx[0], ky[1] - ky[0]
+    wx, wy = int(np.ceil(radius / dkx)) + 1, int(np.ceil(radius / dky)) + 1
+    vx, vy = vertices[:, 0], vertices[:, 1]
+    cx = np.floor((vx - kx[0]) / dkx).astype(int)
+    cy = np.floor((vy - ky[0]) / dky).astype(int)
+    mask = np.zeros((len(ky), len(kx)), dtype=bool)
+    for oy in range(-wy, wy + 1):
+        for ox in range(-wx, wx + 1):
+            jx, jy = cx + ox, cy + oy
+            inside = (jx >= 0) & (jx < len(kx)) & (jy >= 0) & (jy < len(ky))
+            jx, jy = jx[inside], jy[inside]
+            dx, dy = vx[inside] - kx[jx], vy[inside] - ky[jy]
+            near = np.sqrt(dx * dx + dy * dy) < radius
+            mask[jy[near], jx[near]] = True
+    return mask
+
+
+def local_minima_rolls(absval, threshold):
+    """Sixteen-roll form of ``scanner._local_minima`` (byte oracle)."""
+    m = np.ones_like(absval, dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dx == 0 and dy == 0:
+                continue
+            m &= absval <= np.roll(np.roll(absval, dy, axis=0), dx, axis=1)
+    return np.argwhere(m & (absval < threshold))

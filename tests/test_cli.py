@@ -373,11 +373,6 @@ _README_SWEEP = PHASE_SWEEPS["readme"][1]
 
 
 @pytest.mark.parametrize("p,changes,message", [
-    (_TOPO, {1: math.inf}, "parameter v is not finite: nan"),
-    (_TOPO, {3: math.nan}, "parameter ga is not finite: nan"),
-    # at a point, g is checked before v and v before the regime
-    (_TOPO.replace(gx=0.1), {3: math.nan, 0: -math.inf}, "parameter ga is not finite: nan"),
-    (_TOPO.replace(gamma=0.0), {0: -math.inf}, "parameter v is not finite: nan"),
     (_TOPO.replace(gamma=0.0), {}, "phase_classify requires 0 < gamma < pi/2, got 0.0"),
     (_TOPO.replace(gx=0.1), {}, "phase_classify requires gx = gy = 0"),
 ])
@@ -389,6 +384,43 @@ def test_cli_phases_rejects_what_the_point_loop_rejects(tmp_path, capsys, p, cha
     with pytest.raises(ValueError) as exc:
         phases_csv_loop(p, *sweep)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("p,changes,flag,text", [
+    (_TOPO, {1: math.inf}, "--v-max", "inf"),
+    (_TOPO, {3: math.nan}, "--g-min", "nan"),
+    # flags are read in command-line order, and all before the regime
+    (_TOPO.replace(gx=0.1), {3: math.nan, 0: -math.inf}, "--v-min", "-inf"),
+    (_TOPO.replace(gamma=0.0), {0: -math.inf}, "--v-min", "-inf"),
+])
+def test_cli_phases_rejects_non_finite_sweep_bounds(tmp_path, capsys, p, changes, flag,
+                                                    text):
+    # np.linspace would turn an infinite bound into a nan potential
+    sweep = tuple(changes.get(i, value) for i, value in enumerate(_README_SWEEP))
+    rc, path = run_phases(tmp_path, p, sweep, "bad")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: expected a finite number, got {text!r}\n")
+    assert not path.parent.exists()
+
+
+def test_cli_phases_boundary_tol_must_be_finite_and_non_negative(tmp_path, capsys):
+    # at t1 = 0 both boundaries are v = 0, a grid point of this sweep
+    pf = tmp_path / "t1_zero.txt"
+    save_params(_TOPO.replace(t1=0.0), pf)
+    argv = ["phases", "--params", str(pf), "--v-min=-1", "--v-max", "1", "--v-steps", "11",
+            "--g-steps", "1"]
+    assert main(argv + ["--boundary-tol", "0", "--out", str(tmp_path / "zero")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+    rows = [row.split(",") for row in (tmp_path / "ok" / "phases.csv").read_text().splitlines()]
+    assert [row[4] for row in rows[2:] if float(row[1]) == 0.0] == ["boundary_gapless"]
+    capsys.readouterr()
+    for tol in ("nan", "-1", "-1e-300", "inf"):
+        out = tmp_path / f"bad_{tol}"
+        assert main(argv + [f"--boundary-tol={tol}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --boundary-tol: expected a finite number >= 0, got {tol!r}\n")
+        assert not out.exists()
 
 
 def test_cli_phases_checks_the_potentials_in_sweep_order(tmp_path, capsys, monkeypatch):

@@ -5,10 +5,11 @@ import pytest
 from scipy.spatial import cKDTree
 
 import nhdeg.scanner
+from _oracles import local_minima_rolls, near_vertex_nodes_loops
 from nhdeg.model import (ModelParams, _k_grid, discriminant_function, dispersion,
                          phase_boundaries)
 from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
-                           fermi_curves, find_degeneracies,
+                           _near_vertex_nodes, fermi_curves, find_degeneracies,
                            fold_points, scan_discriminant, zero_curves)
 from nhdeg.symmetry import builtin_spec, pair_product_phase
 
@@ -370,6 +371,17 @@ def test_fermi_curves_validation():
         fermi_curves(ModelParams(), 64, 64, "re", "0")
 
 
+@pytest.mark.parametrize("nx,ny,axis", [(1, 51, "kx"), (51, 1, "ky"), (0, 0, "kx")])
+def test_zero_curves_need_two_samples_per_axis(nx, ny, axis):
+    message = f"at least 2 samples on the {axis} axis, got {min(nx, ny)}$"
+    with pytest.raises(ValueError, match=message):
+        fermi_curves(ModelParams(), nx, ny)
+    fld = ScalarField(kx=_k_grid(nx), ky=_k_grid(ny), values=np.ones((ny, nx), complex))
+    for which in ("Re_eta", "Im_eta", "field"):
+        with pytest.raises(ValueError, match=message):
+            zero_curves(fld, which)
+
+
 # ---------------------------------------------------------------------------
 # contour layer against the per-cell reference
 #
@@ -640,3 +652,54 @@ def test_point_zero_grid_filter_matches_ckdtree():
     # including the 201^2 plateau field (32 855 point zeros)
     assert kept_and_dropped >= 8
     assert len(curve.point_zeros) > 10000
+
+
+def vertex_sets(kx, ky, rng):
+    """Seeded contour-like vertex sets on the grid of (kx, ky)."""
+    nx, ny = len(kx), len(ky)
+    yield np.array([[0.1, -0.2]])
+    yield np.array([[np.pi, ky[ny // 2]]])
+    for n in (5, 40, 300):
+        free = rng.uniform(-np.pi, np.pi, size=(n, 2))
+        nodes = np.column_stack([kx[rng.integers(0, nx, n)], ky[rng.integers(0, ny, n)]])
+        lines = free.copy()
+        lines[: n // 2, 0] = kx[rng.integers(0, nx, n // 2)]
+        lines[n // 2:, 1] = ky[rng.integers(0, ny, n - n // 2)]
+        seam = np.column_stack([np.full(n, np.pi), free[:, 1]])
+        yield from (free, nodes, lines, seam, np.vstack([free, nodes, lines, seam]))
+
+
+def test_near_vertex_nodes_matches_loop_oracle():
+    rng = np.random.default_rng(15)
+    for nx, ny in ((17, 29), (40, 61), (61, 40), (121, 64)):
+        kx, ky = _k_grid(nx), _k_grid(ny)
+        dk = max(kx[1] - kx[0], ky[1] - ky[0])
+        for vertices in vertex_sets(kx, ky, rng):
+            for radius in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+                mask = _near_vertex_nodes(kx, ky, vertices, radius * dk)
+                want = near_vertex_nodes_loops(kx, ky, vertices, radius * dk)
+                assert mask.shape == (ny, nx)
+                assert np.array_equal(mask, want), (nx, ny, len(vertices), radius)
+
+
+def minima_fields(rng):
+    for shape in ((1, 1), (1, 9), (9, 1), (2, 2), (2, 7), (16, 16), (33, 20)):
+        noise = rng.standard_normal(shape)
+        ties = np.round(2 * noise)                        # ties and exact zeros
+        plateau = np.maximum(np.abs(noise) - 0.8, 0.0)    # zero regions
+        holes = noise.copy()
+        holes.flat[rng.integers(0, holes.size, max(1, holes.size // 10))] = np.nan
+        holes.flat[rng.integers(0, holes.size, max(1, holes.size // 10))] = np.inf
+        at_threshold = np.where(ties == 0, 1e-6, ties)
+        for values in (noise, ties, plateau, holes, at_threshold, np.zeros(shape)):
+            yield np.abs(values)
+
+
+def test_local_minima_matches_roll_oracle():
+    rng = np.random.default_rng(16)
+    for absval in minima_fields(rng):
+        for threshold in (1e-6, np.inf):
+            got = _local_minima(absval, threshold)
+            want = local_minima_rolls(absval, threshold)
+            assert got.shape == want.shape and np.array_equal(got, want), (
+                absval.shape, threshold)
