@@ -9,7 +9,9 @@ phases    sweep the staggered potential against the phase boundaries
 ribbon    ribbon spectra with localization metrics
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Machine
-output goes to files under --out; stdout carries a short human summary.
+output goes to files under --out, written only once every result is
+computed and checked, so a rejected input writes nothing; stdout carries a
+short human summary.
 Identical configurations (including --seed) produce byte-identical files.
 """
 
@@ -24,12 +26,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .model import (ModelParams, _k_grid, _phase_labels, load_params, phase_boundaries,
-                    phase_classify)
+from .model import _k_grid, _phase_labels, load_params, phase_boundaries, phase_classify
 from .ribbon import localization, obc_defective_check, ribbon_spectrum, skin_metric
 from .scanner import find_degeneracies, scan_discriminant  # noqa: F401 (perfbench reads it)
-from .serialize import (FORMAT, json_document, write_band_csv, write_json,
-                        write_vector_field_csv)
+from .serialize import write_band_csv, write_json, write_phases_csv, write_vector_field_csv
 from .symmetry import symmetry_survey
 from .theorem import run_ensemble
 
@@ -63,10 +63,6 @@ def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
 
 
-def _params_from(args) -> ModelParams:
-    return load_params(args.params)
-
-
 def _outpath(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -77,28 +73,23 @@ def cmd_theorem(args) -> int:
     bound = args.tol if args.tol is not None else 1e-9
     report = run_ensemble(dims=dims, trials=args.trials, seed=args.seed,
                           bound=bound, inject_defective=args.inject_defective)
-    write_json(_outpath(args, "theorem.json"), json_document(report,
-               toolkit_version=__version__))
+    write_json(_outpath(args, "theorem.json"), report)
     if args.inject_defective:
-        ok = report["rejected_defective"] == args.trials
         print(f"theorem: rejected {report['rejected_defective']}/{args.trials} "
               f"defective inputs")
-        if not ok and report["failures"]:
-            print(f"first failure: {report['failures'][0]}")
-        return 0 if ok else 1
-    worst = max(report["max_residuals"].values())
-    print(f"theorem: {args.trials} trials over dims {dims}, "
-          f"worst residual {worst:.3e} (bound {bound:.1e})")
+    else:
+        worst = max(report["max_residuals"].values())
+        print(f"theorem: {args.trials} trials over dims {dims}, "
+              f"worst residual {worst:.3e} (bound {bound:.1e})")
     if not report["passed"] and report["failures"]:
         print(f"first failure: {report['failures'][0]}")
     return 0 if report["passed"] else 1
 
 
 def cmd_scan(args) -> int:
-    p = _params_from(args)
+    p = load_params(args.params)
     tol = args.tol if args.tol is not None else 1e-13
     result = find_degeneracies(p, args.nx, args.ny, tol=tol, fold=args.fold_bz)
-    write_vector_field_csv(_outpath(args, "field.csv"), result.field)
     payload = {
         "tol": tol,
         "nx": args.nx,
@@ -108,8 +99,8 @@ def cmd_scan(args) -> int:
         "n_dropped": result.n_dropped,
         "points": [asdict(q) for q in result.points],
     }
-    write_json(_outpath(args, "degeneracies.json"),
-               json_document(payload, params=p, toolkit_version=__version__))
+    write_vector_field_csv(_outpath(args, "field.csv"), result.field)
+    write_json(_outpath(args, "degeneracies.json"), payload, params=p)
     n_nd, n_d = len(result.nondefective), len(result.defective)
     print(f"scan: {n_nd} non-defective, {n_d} defective, "
           f"{len(result.unresolved)} unresolved "
@@ -117,56 +108,46 @@ def cmd_scan(args) -> int:
     return 0 if not result.unresolved else 1
 
 
+# SymmetryReport fields under their names in symmetry.json
+_REPORT_KEYS = {"name": "spec", "grid_max_k": "worst_k",
+                "grid_min_residual": "min_residual", "grid_min_k": "min_k"}
+
+
 def cmd_symmetry(args) -> int:
-    p = _params_from(args)
+    p = load_params(args.params)
     survey = symmetry_survey(p, nx=args.nx, ny=args.ny)
-    reports = {}
-    for name, rep in survey["reports"].items():
-        reports[name] = {
-            "spec": name,
-            "holds": rep.holds,
-            "right_residual": rep.right_residual,
-            "left_residual": rep.left_residual,
-            "worst_k": list(rep.grid_max_k),
-            "min_residual": rep.grid_min_residual,
-            "min_k": list(rep.grid_min_k),
-        }
     payload = {
         "eta_X1": survey["eta_X1"],
         "eta_X2": survey["eta_X2"],
         "holding": survey["holding"],
-        "reports": reports,
+        "reports": {name: {_REPORT_KEYS.get(key, key): value
+                           for key, value in asdict(rep).items()}
+                    for name, rep in survey["reports"].items()},
     }
-    write_json(_outpath(args, "symmetry.json"),
-               json_document(payload, params=p, toolkit_version=__version__))
+    write_json(_outpath(args, "symmetry.json"), payload, params=p)
     print("symmetry: holding = " + (", ".join(survey["holding"]) or "none"))
     return 0
 
 
 def cmd_phases(args) -> int:
-    p = _params_from(args)
+    p = load_params(args.params)
     v_values = np.linspace(args.v_min, args.v_max, args.v_steps)
     g_values = np.linspace(args.g_min, args.g_max, args.g_steps)
     tol = args.boundary_tol
-    v_texts = [repr(float(v)) for v in v_values]
+    rows = []
+    for row, g in enumerate(g_values.tolist()):
+        pg = p.replace(ga=g, gb=g)
+        if row == 0:
+            # what a point-by-point sweep checks, in its order: the first
+            # point in full, then the other potentials; the regime and the
+            # potentials are the same on every row
+            phase_classify(pg.replace(v=float(v_values[0])), tol)
+            bad = ~np.isfinite(v_values)
+            if bad.any():
+                pg.replace(v=float(v_values[bad.argmax()]))   # raises
+        rows.append((g, *phase_boundaries(pg), _phase_labels(pg, v_values, tol)))
     path = _outpath(args, "phases.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# format={FORMAT}\n")
-        fh.write("g,v,v1,v2,phase\n")
-        for row, g in enumerate(g_values):
-            pg = p.replace(ga=float(g), gb=float(g))
-            if row == 0:
-                # what a point-by-point sweep checks, in its order: the first
-                # point in full, then the other potentials; the regime and the
-                # potentials are the same on every row
-                phase_classify(pg.replace(v=float(v_values[0])), tol)
-                bad = ~np.isfinite(v_values)
-                if bad.any():
-                    pg.replace(v=float(v_values[bad.argmax()]))   # raises
-            v1, v2 = phase_boundaries(pg)
-            head, tail = repr(float(g)), f"{float(v1)!r},{float(v2)!r}"
-            fh.writelines(f"{head},{v_text},{tail},{label}\n" for v_text, label
-                          in zip(v_texts, _phase_labels(pg, v_values, tol)))
+    write_phases_csv(path, v_values, rows)
     v1, v2 = phase_boundaries(p)
     print(f"phases: v1 = {v1:.6f}, v2 = {v2:.6f} at the file parameters; "
           f"grid written to {path}")
@@ -174,24 +155,12 @@ def cmd_phases(args) -> int:
 
 
 def cmd_ribbon(args) -> int:
-    p = _params_from(args)
+    p = load_params(args.params)
     k_grid = _k_grid(args.k_samples)
     # the zero-mode and skin momenta cost no solve when on the grid modulo pi
     *bands, zero_band, skin_band = ribbon_spectrum(
         p, args.axis, args.n_cells, k_values=[*k_grid.tolist(), args.zero_k, 0.0])
-    write_band_csv(_outpath(args, "bands.csv"), bands,
-                   dump_vectors=args.dump_vectors)
     zero = obc_defective_check(zero_band)
-    loc_payload = {
-        "axis": args.axis,
-        "n_cells": args.n_cells,
-        "zero_mode_check_k": args.zero_k,
-        "zero_mode_overlap": zero.overlap,
-        "zero_mode_absent": zero.absent,
-        "zero_mode_eigenvalues": list(zero.eigenvalues),
-        "skin_metric_k0": skin_metric(p, args.axis, skin_band),
-        "edge_mode_sides": {},
-    }
     # the edge pair crosses at |k| = pi/2, where it can hybridize, so its sides
     # are read at the nearest grid momentum off the crossing but within pi/4
     # of it (the edge pair has left the gap by pi/2 away), else at the nearest
@@ -200,12 +169,21 @@ def cmd_ribbon(args) -> int:
     dist = [(abs(abs(4 * i - 2 * nk) - nk), i) for i in range(nk)]
     mid = bands[min([(d, i) for d, i in dist if 0 < 2 * d <= nk] or dist)[1]]
     order = np.argsort(np.abs(mid.eigenvalues))[:2]
-    loc_payload["edge_mode_sides"] = {
-        str(int(n)): asdict(localization(mid.eigenvectors[:, int(n)], args.n_cells))
-        for n in order
+    payload = {
+        "axis": args.axis,
+        "n_cells": args.n_cells,
+        "zero_mode_check_k": args.zero_k,
+        "zero_mode_overlap": zero.overlap,
+        "zero_mode_absent": zero.absent,
+        "zero_mode_eigenvalues": list(zero.eigenvalues),
+        "skin_metric_k0": skin_metric(p, args.axis, skin_band),
+        "edge_mode_sides": {
+            str(int(n)): asdict(localization(mid.eigenvectors[:, int(n)], args.n_cells))
+            for n in order
+        },
     }
-    write_json(_outpath(args, "localization.json"),
-               json_document(loc_payload, params=p, toolkit_version=__version__))
+    write_band_csv(_outpath(args, "bands.csv"), bands, dump_vectors=args.dump_vectors)
+    write_json(_outpath(args, "localization.json"), payload, params=p)
     print(f"ribbon: {len(bands)} momenta, zero-mode overlap {zero.overlap:.6f} "
           f"at transverse k = {args.zero_k:.4f}")
     return 0

@@ -65,14 +65,6 @@ class ScalarField:
     ky: np.ndarray
     values: np.ndarray
 
-    @property
-    def nx(self) -> int:
-        return len(self.kx)
-
-    @property
-    def ny(self) -> int:
-        return len(self.ky)
-
 
 @dataclass(frozen=True)
 class DegeneracyPoint:
@@ -490,7 +482,6 @@ def fermi_curves(p: ModelParams, nx: int = 301, ny: int = 301,
     plus, minus = dispersion(p, kx[None, :], ky[:, None])
     eps = plus if band == "+" else minus
     comp = eps.real if which == "re" else eps.imag
-    fld = ScalarField(kx=kx, ky=ky, values=comp.astype(complex))
-    curve = zero_curves(fld, "field")
+    curve = zero_curves(ScalarField(kx=kx, ky=ky, values=comp), "field")
     curve.which = f"{'Re' if which == 're' else 'Im'}_energy"
     return curve

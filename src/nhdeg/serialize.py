@@ -1,27 +1,32 @@
 """Versioned, byte-deterministic CSV and JSON output.
 
-Every file carries the ``nhdeg/1`` format marker: JSON documents as a
-``"format"`` field, CSV files as a leading comment line.  Floats are
-written with ``repr``, which round-trips exactly, so identical inputs
-produce identical bytes and re-importing a vector-field export reproduces
-the samples bit for bit.
+This module owns every output format: the commands compute and check their
+results, then hand them to one ``write_*`` function per file.  Every file
+carries the ``nhdeg/1`` format marker: JSON documents as a ``"format"``
+field next to the toolkit version, CSV files as a leading comment line.
+Floats are written with ``repr``, which round-trips exactly, so identical
+inputs produce identical bytes and re-importing a vector-field export
+reproduces the samples bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
+
+from . import __version__
 
 FORMAT = "nhdeg/1"
 
 __all__ = [
     "FORMAT",
-    "json_document",
     "write_json",
     "write_vector_field_csv",
     "read_vector_field_csv",
     "write_band_csv",
+    "write_phases_csv",
 ]
 
 
@@ -43,17 +48,13 @@ def _jsonable(obj):
     return obj
 
 
-def json_document(payload: dict, params=None, toolkit_version: str = "") -> dict:
-    """Wrap a payload with the format marker and provenance fields."""
-    doc = {"format": FORMAT, "toolkit_version": toolkit_version}
+def write_json(path, payload: dict, params=None) -> None:
+    """JSON export of a payload, stamped with the format marker, the toolkit
+    version and, when given, the model parameters."""
+    doc = {"format": FORMAT, "toolkit_version": __version__}
     if params is not None:
-        from dataclasses import asdict
         doc["params"] = asdict(params)
-    doc.update(_jsonable(payload))
-    return doc
-
-
-def write_json(path, doc: dict) -> None:
+    doc.update(payload)
     with open(path, "w") as fh:
         json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -121,3 +122,19 @@ def write_band_csv(path, bands, dump_vectors: bool = False) -> None:
                 mags = np.hypot(vecs.real, vecs.imag).T.tolist()
                 fh.write("".join([f"# |psi| k={k} index={n}: {';'.join(map(repr, col))}\n"
                                   for n, col in enumerate(mags)]))
+
+
+def write_phases_csv(path, v_values, rows) -> None:
+    """CSV export of a phase sweep: (g, v, v1, v2, phase), v inner.
+
+    ``rows`` holds one (g, v1, v2, labels) per g, the labels over
+    ``v_values``.
+    """
+    v_texts = [repr(float(v)) for v in v_values]
+    with open(path, "w") as fh:
+        fh.write(f"# format={FORMAT}\n")
+        fh.write("g,v,v1,v2,phase\n")
+        for g, v1, v2, labels in rows:
+            head, tail = repr(float(g)), f"{float(v1)!r},{float(v2)!r}"
+            fh.writelines(f"{head},{v_text},{tail},{label}\n"
+                          for v_text, label in zip(v_texts, labels))

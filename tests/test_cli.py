@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from _oracles import phases_csv_loop
 import nhdeg
 import nhdeg.cli
 from nhdeg.cli import build_parser, main
-from nhdeg.model import ModelParams, phase_boundaries, save_params
+from nhdeg.model import ModelParams, load_params, phase_boundaries, save_params
 from nhdeg.scanner import ScalarField, scan_discriminant
 from nhdeg.ribbon import RibbonBand
 from nhdeg.serialize import (FORMAT, read_vector_field_csv, write_band_csv,
@@ -404,6 +405,16 @@ def test_cli_phases_rejects_non_finite_sweep_bounds(tmp_path, capsys, p, changes
     assert not path.parent.exists()
 
 
+def test_cli_phases_regime_error_writes_nothing(tmp_path, capsys):
+    # an empty parameter file is the gamma = 0 default, which phases rejects
+    # before it creates the output directory
+    out = tmp_path / "d"
+    assert main(["phases", "--params", "/dev/null", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: phase_classify requires 0 < gamma < pi/2, got 0.0\n")
+    assert not out.exists()
+
+
 def test_cli_phases_boundary_tol_must_be_finite_and_non_negative(tmp_path, capsys):
     # at t1 = 0 both boundaries are v = 0, a grid point of this sweep
     pf = tmp_path / "t1_zero.txt"
@@ -456,6 +467,17 @@ def test_readme_cli_recipes_run(tmp_path, monkeypatch):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "bands.csv", "degeneracies.json", "field.csv", "localization.json",
         "phases.csv", "symmetry.json", "theorem.json"]
+    # every JSON document is stamped; the parameters go into those of the
+    # commands that read a parameter file
+    params = asdict(load_params(tmp_path / "params.txt"))
+    for name, stamped in (("theorem.json", False), ("degeneracies.json", True),
+                          ("symmetry.json", True), ("localization.json", True)):
+        doc = json.loads((tmp_path / "out" / name).read_text())
+        assert doc["format"] == FORMAT == "nhdeg/1", name
+        assert doc["toolkit_version"] == nhdeg.__version__, name
+        assert ("params" in doc) is stamped, name
+        if stamped:
+            assert doc["params"] == params, name
 
 
 def test_readme_library_tour_runs(tmp_path):
