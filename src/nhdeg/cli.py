@@ -28,10 +28,11 @@ import numpy as np
 from . import __version__
 from .model import _k_grid, _phase_labels, load_params, phase_boundaries, phase_classify
 from .ribbon import localization, obc_defective_check, ribbon_spectrum, skin_metric
-from .scanner import find_degeneracies, scan_discriminant  # noqa: F401 (perfbench reads it)
+from .scanner import scan_discriminant  # noqa: F401 (perfbench reads it)
+from .scanner import NEWTON_TOL, find_degeneracies
 from .serialize import write_band_csv, write_json, write_phases_csv, write_vector_field_csv
 from .symmetry import symmetry_survey
-from .theorem import run_ensemble
+from .theorem import RESIDUAL_BOUND, run_ensemble
 
 __all__ = ["main"]
 
@@ -47,16 +48,19 @@ def _count(text: str) -> int:
     return value
 
 
-def _finite(text: str, least: float = -np.inf) -> float:
-    """Argument type of the phase-sweep floats: finite and at least ``least``."""
+def _finite(text: str, least: float = -np.inf, strict: bool = False) -> float:
+    """Argument type of the float flags: finite and at least ``least`` (above it if ``strict``)."""
     try:
         value = float(text)
     except ValueError:
         value = np.nan
-    if not (np.isfinite(value) and value >= least):
-        floor = f" >= {least:g}" if np.isfinite(least) else ""
+    if not (np.isfinite(value) and (value > least if strict else value >= least)):
+        floor = f" {'>' if strict else '>='} {least:g}" if np.isfinite(least) else ""
         raise argparse.ArgumentTypeError(f"expected a finite number{floor}, got {text!r}")
     return value
+
+
+_positive = functools.partial(_finite, least=0.0, strict=True)
 
 
 def _add_common(sub):
@@ -70,9 +74,8 @@ def _outpath(args, name):
 
 def cmd_theorem(args) -> int:
     dims = tuple(range(args.min_dim, args.max_dim + 1))
-    bound = args.tol if args.tol is not None else 1e-9
     report = run_ensemble(dims=dims, trials=args.trials, seed=args.seed,
-                          bound=bound, inject_defective=args.inject_defective)
+                          bound=args.tol, inject_defective=args.inject_defective)
     write_json(_outpath(args, "theorem.json"), report)
     if args.inject_defective:
         print(f"theorem: rejected {report['rejected_defective']}/{args.trials} "
@@ -80,7 +83,7 @@ def cmd_theorem(args) -> int:
     else:
         worst = max(report["max_residuals"].values())
         print(f"theorem: {args.trials} trials over dims {dims}, "
-              f"worst residual {worst:.3e} (bound {bound:.1e})")
+              f"worst residual {worst:.3e} (bound {args.tol:.1e})")
     if not report["passed"] and report["failures"]:
         print(f"first failure: {report['failures'][0]}")
     return 0 if report["passed"] else 1
@@ -88,10 +91,9 @@ def cmd_theorem(args) -> int:
 
 def cmd_scan(args) -> int:
     p = load_params(args.params)
-    tol = args.tol if args.tol is not None else 1e-13
-    result = find_degeneracies(p, args.nx, args.ny, tol=tol, fold=args.fold_bz)
+    result = find_degeneracies(p, args.nx, args.ny, tol=args.tol, fold=args.fold_bz)
     payload = {
-        "tol": tol,
+        "tol": args.tol,
         "nx": args.nx,
         "ny": args.ny,
         "fold_bz": args.fold_bz,
@@ -108,11 +110,6 @@ def cmd_scan(args) -> int:
     return 0 if not result.unresolved else 1
 
 
-# SymmetryReport fields under their names in symmetry.json
-_REPORT_KEYS = {"name": "spec", "grid_max_k": "worst_k",
-                "grid_min_residual": "min_residual", "grid_min_k": "min_k"}
-
-
 def cmd_symmetry(args) -> int:
     p = load_params(args.params)
     survey = symmetry_survey(p, nx=args.nx, ny=args.ny)
@@ -120,9 +117,7 @@ def cmd_symmetry(args) -> int:
         "eta_X1": survey["eta_X1"],
         "eta_X2": survey["eta_X2"],
         "holding": survey["holding"],
-        "reports": {name: {_REPORT_KEYS.get(key, key): value
-                           for key, value in asdict(rep).items()}
-                    for name, rep in survey["reports"].items()},
+        "reports": {name: asdict(rep) for name, rep in survey["reports"].items()},
     }
     write_json(_outpath(args, "symmetry.json"), payload, params=p)
     print("symmetry: holding = " + (", ".join(survey["holding"]) or "none"))
@@ -202,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-dim", type=int, default=8)
     t.add_argument("--inject-defective", action="store_true",
                    help="feed Jordan blocks instead; expect rejection")
-    t.add_argument("--tol", type=float, default=None, help="override the residual bound")
+    t.add_argument("--tol", type=_positive, default=RESIDUAL_BOUND, help="residual bound")
     t.add_argument("--seed", type=int, default=0)
     _add_common(t)
 
@@ -212,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ny", type=_count, default=301)
     s.add_argument("--fold-bz", action="store_true",
                    help="merge points equivalent under the reduced zone")
-    s.add_argument("--tol", type=float, default=None, help="override the Newton tolerance")
+    s.add_argument("--tol", type=_positive, default=NEWTON_TOL, help="Newton tolerance")
     _add_common(s)
 
     y = sub.add_parser("symmetry", help="survey the built-in symmetries")
@@ -244,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--axis", choices=("x", "y"), default="x")
     r.add_argument("--n-cells", type=_count, default=30)
     r.add_argument("--k-samples", type=_count, default=64)
-    r.add_argument("--zero-k", type=float, default=np.pi / 2,
+    r.add_argument("--zero-k", type=_finite, default=np.pi / 2,
                    help="transverse momentum for the zero-mode pair check")
     r.add_argument("--dump-vectors", action="store_true")
     _add_common(r)

@@ -53,9 +53,6 @@ def _k_grid(n: int) -> np.ndarray:
     return -np.pi + 2 * np.pi * np.arange(n) / n
 
 
-_PARAM_KEYS = ("t", "t1", "v", "gamma", "gx", "gy", "ga", "gb", "mu_a", "mu_b")
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameter tuple of the tight-binding model.
@@ -90,6 +87,10 @@ class ModelParams:
 
     def replace(self, **kw) -> "ModelParams":
         return replace(self, **kw)
+
+
+# the keys of a parameter file, in the order save_params writes them
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +212,15 @@ def discriminant_function(p: ModelParams, kx, ky):
     return 4.0 * (dx * dx + dy * dy + dz * dz)
 
 
+def _bands(d0, dx, dy, dz):
+    """The eigenvalues d0 +- sqrt(d.d) of d0 + d.sigma, with the principal root."""
+    root = np.sqrt(np.asarray(dx * dx + dy * dy + dz * dz, dtype=complex))
+    return d0 + root, d0 - root
+
+
 def dispersion(p: ModelParams, kx, ky):
     """Two bands (tr(h) +- sqrt(eta))/2 with the principal square root."""
-    d0, dx, dy, dz = _d_components(p, kx, ky)
-    root = np.sqrt((dx * dx + dy * dy + dz * dz).astype(complex))
-    return d0 + root, d0 - root
+    return _bands(*_d_components(p, kx, ky))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +362,7 @@ class Expansion:
         return np.array([[d0 + dz, dx - 1j * dy], [dx + 1j * dy, d0 - dz]])
 
     def bands(self, px, py):
-        d0, dx, dy, dz = self.d_components(px, py)
-        root = np.sqrt(np.asarray(dx * dx + dy * dy + dz * dz, dtype=complex))
-        return d0 + root, d0 - root
+        return _bands(*self.d_components(px, py))
 
 
 def _taylor_d(p: ModelParams, center, order):

@@ -34,11 +34,14 @@ __all__ = [
     "fold_points",
     "NONDEFECTIVE_MATRIX_TOL",
     "DEFECTIVE_OVERLAP_FLOOR",
+    "NEWTON_TOL",
 ]
 
 # classification thresholds (see DegeneracyPoint)
 NONDEFECTIVE_MATRIX_TOL = 1e-8
 DEFECTIVE_OVERLAP_FLOOR = 1.0 - 1e-6
+# default |eta| a refined candidate must reach
+NEWTON_TOL = 1e-13
 # refined points closer than this on the torus are one point
 _DEDUP_RADIUS = 1e-4
 # root-solver steps per seed; a seed beside the quadratic Gamma touching at
@@ -251,7 +254,7 @@ def _classify(p: ModelParams, k):
 
 
 def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
-                      tol: float = 1e-13, fold: bool = False) -> ScanResult:
+                      tol: float = NEWTON_TOL, fold: bool = False) -> ScanResult:
     """Locate and classify all degeneracies of the Bloch matrix.
 
     Grid candidates come from simultaneous Re/Im sign-change cells and from
@@ -262,8 +265,8 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
     their order does not hinge on sub-grid solver noise.  With ``fold``,
     points equivalent under the reduced-zone shift (pi, pi) are merged.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     fld = scan_discriminant(p, nx, ny)
     cells = _sign_change_cells(fld.values)
     minima = _local_minima(np.abs(fld.values), np.inf)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _k_grid, bloch_hamiltonian, real_space_hamiltonian
+from .model import (X1_POINTS, X2_POINTS, ModelParams, _k_grid, bloch_hamiltonian,
+                    discriminant_function, real_space_hamiltonian)
 
 __all__ = [
     "CompositeSymmetrySpec",
@@ -46,8 +47,6 @@ __all__ = [
     "HOLD_TOL",
 ]
 
-BUILTIN_NAMES = ("upsilon", "upsilon_prime", "upsilon_doubleprime")
-
 # relations are exact; only rounding contributes
 HOLD_TOL = 1e-10
 # grid residuals this close (relative) to an extremum tie with it
@@ -59,8 +58,8 @@ class CompositeSymmetrySpec:
     """Declarative description of one composite anti-unitary operation.
 
     Every operation is the sublattice swap sigma_x, complex conjugation and
-    a one-cell translation along x.  ``reflect_y`` adds the y-axis mirror,
-    ``parameter_map`` is one of 'identity' or 'swap_negate_diag', and
+    a one-cell translation along x.  ``reflect_y`` adds the y-axis mirror
+    and with it the diagonal parameter involution (ga, gb) -> (-gb, -ga);
     ``site_phase`` says whether the operator carries the position-dependent
     phases exp(2i*gamma*iy) * exp(-2i*gamma*ix) per unit step (with the B
     orbital offset by one x step).
@@ -68,53 +67,41 @@ class CompositeSymmetrySpec:
 
     name: str
     reflect_y: bool = False
-    parameter_map: str = "identity"
     site_phase: bool = False
-
-    def __post_init__(self):
-        if self.parameter_map not in ("identity", "swap_negate_diag"):
-            raise ValueError(f"unknown parameter map {self.parameter_map!r}")
 
 
 @dataclass
 class SymmetryReport:
-    """Grid-wide residuals of the intertwining relations for one spec."""
+    """Residuals of one spec's intertwining relations, named as in ``symmetry.json``."""
 
-    name: str
+    spec: str
     right_residual: float
     left_residual: float
-    grid_max_k: tuple
-    grid_min_residual: float
-    grid_min_k: tuple
+    worst_k: tuple
+    min_residual: float
+    min_k: tuple
     holds: bool
+
+
+BUILTIN_SPECS = {
+    "upsilon": CompositeSymmetrySpec("upsilon"),
+    "upsilon_prime": CompositeSymmetrySpec("upsilon_prime", reflect_y=True),
+    "upsilon_doubleprime": CompositeSymmetrySpec("upsilon_doubleprime", reflect_y=True,
+                                                 site_phase=True),
+}
+BUILTIN_NAMES = tuple(BUILTIN_SPECS)
 
 
 def builtin_spec(name: str) -> CompositeSymmetrySpec:
     """Return one of the three built-in composite symmetry specs."""
-    if name == "upsilon":
-        return CompositeSymmetrySpec(name=name)
-    if name == "upsilon_prime":
-        return CompositeSymmetrySpec(name=name, reflect_y=True,
-                                     parameter_map="swap_negate_diag")
-    if name == "upsilon_doubleprime":
-        return CompositeSymmetrySpec(name=name, reflect_y=True,
-                                     parameter_map="swap_negate_diag",
-                                     site_phase=True)
-    raise ValueError(f"unknown symmetry {name!r}; choose from {BUILTIN_NAMES}")
+    if name not in BUILTIN_SPECS:
+        raise ValueError(f"unknown symmetry {name!r}; choose from {BUILTIN_NAMES}")
+    return BUILTIN_SPECS[name]
 
 
 def apply_parameter_map(spec: CompositeSymmetrySpec, p: ModelParams) -> ModelParams:
     """The parameter involution carried by the spec (its own inverse)."""
-    if spec.parameter_map == "identity":
-        return p
-    return p.replace(ga=-p.gb, gb=-p.ga)
-
-
-def _spinor_part(spec: CompositeSymmetrySpec, p: ModelParams) -> np.ndarray:
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if spec.site_phase:
-        return np.diag([1.0, np.exp(-2j * p.gamma)]) @ sx
-    return sx
+    return p.replace(ga=-p.gb, gb=-p.ga) if spec.reflect_y else p
 
 
 def _momentum_action(spec: CompositeSymmetrySpec, p: ModelParams, kx, ky):
@@ -142,10 +129,10 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
     rounding; the momentum reported is the first, in a kx-outer scan of
     the grid, whose residual lies within a relative 1e-12 of the extremum.
     """
-    W = _spinor_part(spec, p)
-    # W = [[0, a], [b, 0]], so h W swaps the columns of h and scales them by
-    # (b, a), and W h swaps its rows and scales them by (a, b)
-    col = np.array([W[1, 0], W[0, 1]])
+    # W = [[0, a], [b, 0]] with (b, a) = (exp(-2i gamma), 1) under the site
+    # phases and (1, 1) without, so h W swaps the columns of h and scales
+    # them by (b, a), and W h swaps its rows and scales them by (a, b)
+    col = np.array([np.exp(-2j * p.gamma) if spec.site_phase else 1.0, 1.0], dtype=complex)
     row = col[::-1, None]
     pp = apply_parameter_map(spec, p)
     kxs, kys = _k_grid(nx), _k_grid(ny)
@@ -163,12 +150,12 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
     best = np.unravel_index(np.argmax(r <= r.min() * (1 + _TIE_RTOL)), r.shape)
     scale = max(float(np.linalg.norm(h_a, axis=(-2, -1)).max()), 1.0)
     return SymmetryReport(
-        name=spec.name,
+        spec=spec.name,
         right_residual=float(r_r[worst] / scale),
         left_residual=float(r_l[worst] / scale),
-        grid_max_k=(float(kxs[worst[0]]), float(kys[worst[1]])),
-        grid_min_residual=float(r[best] / scale),
-        grid_min_k=(float(kxs[best[0]]), float(kys[best[1]])),
+        worst_k=(float(kxs[worst[0]]), float(kys[worst[1]])),
+        min_residual=float(r[best] / scale),
+        min_k=(float(kxs[best[0]]), float(kys[best[1]])),
         holds=bool(r[worst] / scale < HOLD_TOL),
     )
 
@@ -217,9 +204,9 @@ def check_realspace(p: ModelParams, spec: CompositeSymmetrySpec,
     r_l = float(np.linalg.norm(A @ np.conj(Hp) - H.conj().T @ A) / scale)
     worst = max(r_r, r_l)
     return SymmetryReport(
-        name=spec.name, right_residual=r_r, left_residual=r_l,
-        grid_max_k=(float("nan"), float("nan")),
-        grid_min_residual=worst, grid_min_k=(float("nan"), float("nan")),
+        spec=spec.name, right_residual=r_r, left_residual=r_l,
+        worst_k=(float("nan"), float("nan")),
+        min_residual=worst, min_k=(float("nan"), float("nan")),
         holds=bool(worst < HOLD_TOL),
     )
 
@@ -252,8 +239,6 @@ def symmetry_survey(p: ModelParams, nx: int = 32, ny: int = 32) -> dict:
     discriminant values at the X1/X2 points are attached as gap-closure
     diagnostics for staggered-potential sweeps.
     """
-    from .model import X1_POINTS, X2_POINTS, discriminant_function
-
     reports = {name: check_bloch(p, builtin_spec(name), nx, ny)
                for name in BUILTIN_NAMES}
     eta_x1 = complex(discriminant_function(p, *X1_POINTS[0]))

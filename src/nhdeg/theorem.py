@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Eigensystem, _check, _fro, _item, _norm, _take_columns, eigensystem_n
+from .linalg import _check, _fro, _item, _norm, _take_columns, eigensystem_n
 
 __all__ = [
     "DegenerateSubspace",
@@ -46,10 +46,13 @@ __all__ = [
     "random_degenerate_hamiltonian",
     "theorem_report",
     "run_ensemble",
+    "RESIDUAL_BOUND",
 ]
 
 # eigenvalues closer than this times norm(H) form one cluster
 _CLUSTER_TOL = 1e-7
+# default bound on the ensemble's relative residuals
+RESIDUAL_BOUND = 1e-9
 
 
 def _mv(A, v):
@@ -126,8 +129,7 @@ class AntiunitaryOperator:
         return _mv(self.matrix_part, np.conj(np.asarray(v, dtype=complex)))
 
 
-def extract_degenerate_subspace(H, eigsys: Eigensystem | None = None,
-                                lambda0=None) -> DegenerateSubspace:
+def extract_degenerate_subspace(H, lambda0=None) -> DegenerateSubspace:
     """Locate a twofold degenerate eigenvalue of H and return its subspace.
 
     Eigenvalues within ``_CLUSTER_TOL * norm(H)`` of each other form a
@@ -139,7 +141,7 @@ def extract_degenerate_subspace(H, eigsys: Eigensystem | None = None,
     stack raises if any of its matrices would.
     """
     H = np.asarray(H, dtype=complex)
-    es = eigensystem_n(H) if eigsys is None else eigsys
+    es = eigensystem_n(H)
     _check(es.defective, ValueError,
            lambda i: "eigensystem is defective: no biorthogonal basis")
     lam = es.eigenvalues
@@ -343,7 +345,7 @@ def random_degenerate_hamiltonian(dim: int, seed, lambda0=0.5 + 0.5j,
     return H.reshape(seeds.shape + (dim, dim))
 
 
-def theorem_report(H, eigsys: Eigensystem | None = None, lambda0=None) -> dict:
+def theorem_report(H, lambda0=None) -> dict:
     """Run the full construction-and-verification pipeline on one matrix.
 
     Returns every residual of the intertwining, swap, orthogonality,
@@ -353,7 +355,7 @@ def theorem_report(H, eigsys: Eigensystem | None = None, lambda0=None) -> dict:
     equals the report on ``H[i]`` alone bit for bit; the stack raises if
     any of its matrices would.
     """
-    sub = extract_degenerate_subspace(H, eigsys=eigsys, lambda0=lambda0)
+    sub = extract_degenerate_subspace(H, lambda0=lambda0)
     ur = make_upsilon_right(sub)
     ul = make_upsilon_left(sub)
     report = {
@@ -376,7 +378,7 @@ def theorem_report(H, eigsys: Eigensystem | None = None, lambda0=None) -> dict:
 
 
 def run_ensemble(dims=(2, 3, 4, 5, 6, 7, 8), trials: int = 500, seed: int = 0,
-                 bound: float = 1e-9, inject_defective: bool = False) -> dict:
+                 bound: float = RESIDUAL_BOUND, inject_defective: bool = False) -> dict:
     """Verify the operator-pair construction over an engineered ensemble.
 
     Trial t draws a degenerate matrix of dimension ``dims[t % len(dims)]``
@@ -390,13 +392,15 @@ def run_ensemble(dims=(2, 3, 4, 5, 6, 7, 8), trials: int = 500, seed: int = 0,
     Jordan block instead, and the report counts how many trials were
     correctly rejected.  Raises ``ValueError`` for fewer than one trial, no
     dimensions or a dimension below 2, where there would be nothing to
-    verify.
+    verify, and for a bound that is not finite and positive.
     """
     dims = tuple(dims)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if not dims or min(dims) < 2:
         raise ValueError(f"need one or more dimensions, each at least 2, got {dims}")
+    if not 0 < bound < np.inf:
+        raise ValueError(f"bound must be finite and positive, got {bound!r}")
     worst = {"intertwining": 0.0, "swap": 0.0, "orthogonality": 0.0,
              "product": 0.0, "eigenvalue_preservation": 0.0}
     failures = []

@@ -7,7 +7,7 @@ from nhdeg import theorem
 from nhdeg.model import _hop_list, _k_grid, bloch_hamiltonian, phase_boundaries
 from nhdeg.serialize import FORMAT
 from nhdeg.symmetry import (_TIE_RTOL, HOLD_TOL, SymmetryReport, _momentum_action,
-                            _spinor_part, apply_parameter_map)
+                            apply_parameter_map)
 
 
 def match_eigenvalue_multisets(a, b) -> float:
@@ -204,6 +204,14 @@ def theorem_residuals_loop(H, sub, ur, ul):
     }
 
 
+def spinor_part(spec, p):
+    """The spinor part W of the spec's matrix part as a 2x2 matrix."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    if spec.site_phase:
+        return np.diag([1.0, np.exp(-2j * p.gamma)]) @ sx
+    return sx
+
+
 def check_bloch_matmul(p, spec, nx=32, ny=32):
     """``symmetry.check_bloch`` with W applied as stacked (nx, ny, 2, 2) @ (2, 2) products.
 
@@ -211,7 +219,7 @@ def check_bloch_matmul(p, spec, nx=32, ny=32):
     rule and scale.  Where W is complex its products round differently
     from the package's, so residuals agree to rounding only.
     """
-    W = _spinor_part(spec, p)
+    W = spinor_part(spec, p)
     pp = apply_parameter_map(spec, p)
     kxs, kys = _k_grid(nx), _k_grid(ny)
     kx, ky = kxs[:, None], kys[None, :]
@@ -224,12 +232,12 @@ def check_bloch_matmul(p, spec, nx=32, ny=32):
     best = np.unravel_index(np.argmax(r <= r.min() * (1 + _TIE_RTOL)), r.shape)
     scale = max(float(np.linalg.norm(h_a, axis=(-2, -1)).max()), 1.0)
     return SymmetryReport(
-        name=spec.name,
+        spec=spec.name,
         right_residual=float(r_r[worst] / scale),
         left_residual=float(r_l[worst] / scale),
-        grid_max_k=(float(kxs[worst[0]]), float(kys[worst[1]])),
-        grid_min_residual=float(r[best] / scale),
-        grid_min_k=(float(kxs[best[0]]), float(kys[best[1]])),
+        worst_k=(float(kxs[worst[0]]), float(kys[worst[1]])),
+        min_residual=float(r[best] / scale),
+        min_k=(float(kxs[best[0]]), float(kys[best[1]])),
         holds=bool(r[worst] / scale < HOLD_TOL),
     )
 

@@ -1,5 +1,6 @@
 """Tests for the versioned output files and the command-line front end."""
 
+import argparse
 import json
 import math
 import re
@@ -257,6 +258,49 @@ def test_cli_theorem_accepts_tol_and_seed(tmp_path):
                  "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "theorem.json").read_text())
     assert (doc["bound"], doc["seed"], doc["trials"]) == (1e-8, 4, 7)
+
+
+def _parser_actions():
+    """(command, action) for every option of every subcommand."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action) for command, parser in sub.choices.items()
+            for action in parser._actions if action.option_strings]
+
+
+# the float flags are the options with a float default
+FLOAT_FLAGS = [(command, action.option_strings[0]) for command, action in _parser_actions()
+               if isinstance(action.default, float)]
+
+
+def test_cli_parser_has_no_bare_float_type():
+    assert not [(command, action.option_strings) for command, action in _parser_actions()
+                if action.type is float]
+    assert {flag for _, flag in FLOAT_FLAGS} == {
+        "--tol", "--v-min", "--v-max", "--g-min", "--g-max", "--boundary-tol", "--zero-k"}
+
+
+@pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_float_flags_reject_non_finite(tmp_path, regime1_file, capsys, command, flag,
+                                           value):
+    params = [] if command == "theorem" else ["--params", str(regime1_file)]
+    out = tmp_path / "out"
+    assert main([command, *params, f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"error: argument {flag}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["theorem", "scan"])
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "1e-400"])
+def test_cli_tol_must_be_finite_and_positive(tmp_path, regime1_file, capsys, command, value):
+    # a nan scan tolerance dropped every candidate and exited 0, and a theorem
+    # run with a nan or negative bound exited 1 as if verification failed
+    params = [] if command == "theorem" else ["--params", str(regime1_file)]
+    out = tmp_path / "out"
+    assert main([command, *params, f"--tol={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --tol: expected a finite number > 0, got {value!r}\n")
+    assert not out.exists()
 
 
 def test_cli_theorem_defective_injection(tmp_path):

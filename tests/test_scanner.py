@@ -371,6 +371,13 @@ def test_fermi_curves_validation():
         fermi_curves(ModelParams(), 64, 64, "re", "0")
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-13])
+def test_find_degeneracies_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # a nan tol dropped every candidate and an infinite one kept every seed
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        find_degeneracies(ModelParams(t1=0.75, ga=0.5, gb=0.3), 31, 31, tol=tol)
+
+
 @pytest.mark.parametrize("nx,ny,axis", [(1, 51, "kx"), (51, 1, "ky"), (0, 0, "kx")])
 def test_zero_curves_need_two_samples_per_axis(nx, ny, axis):
     message = f"at least 2 samples on the {axis} axis, got {min(nx, ny)}$"

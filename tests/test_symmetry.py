@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from _oracles import check_bloch_matmul, operator_matrix_loops
+from _oracles import check_bloch_matmul, operator_matrix_loops, spinor_part
 
 import nhdeg.symmetry
 from nhdeg.model import ModelParams, bloch_hamiltonian, phase_boundaries
 from nhdeg.symmetry import (BUILTIN_NAMES, _momentum_action, _operator_matrix,
-                            _spinor_part, apply_parameter_map, builtin_spec,
+                            apply_parameter_map, builtin_spec,
                             check_bloch, check_realspace, pair_product_phase,
                             symmetry_survey)
 
@@ -39,14 +39,19 @@ def realspace_verdict(p, spec, nx=4, ny=4):
 
 
 def test_builtin_spec_contents():
+    p = ModelParams(ga=0.5, gb=0.3)
     up = builtin_spec("upsilon")
     assert not up.reflect_y
-    assert up.parameter_map == "identity"
+    assert apply_parameter_map(up, p) is p
     pr = builtin_spec("upsilon_prime")
-    assert pr.reflect_y and pr.parameter_map == "swap_negate_diag"
+    assert pr.reflect_y and not pr.site_phase
+    assert apply_parameter_map(pr, p) == ModelParams(ga=-0.3, gb=-0.5)
     dp = builtin_spec("upsilon_doubleprime")
-    assert dp.site_phase
-    with pytest.raises(ValueError):
+    assert dp.reflect_y and dp.site_phase
+    assert apply_parameter_map(dp, p) == ModelParams(ga=-0.3, gb=-0.5)
+    assert BUILTIN_NAMES == ("upsilon", "upsilon_prime", "upsilon_doubleprime")
+    with pytest.raises(ValueError, match=r"^unknown symmetry 'upsilon_triple'; choose from "
+                                         r"\('upsilon', 'upsilon_prime', 'upsilon_doubleprime'\)$"):
         builtin_spec("upsilon_triple")
 
 
@@ -78,7 +83,7 @@ def scalar_loop_check_bloch(p, spec, nx, ny):
     The reported momenta are the first in that order whose residual lies
     within a relative 1e-12 of the extremum.
     """
-    W = _spinor_part(spec, p)
+    W = spinor_part(spec, p)
     pp = apply_parameter_map(spec, p)
     rows, scale = [], 0.0
     for kx in -np.pi + 2 * np.pi * np.arange(nx) / nx:
@@ -112,11 +117,11 @@ def test_check_bloch_matches_scalar_loop(params, name):
     rep = check_bloch(params, spec, 12, 10)
     right, left, worst_k, best, best_k = scalar_loop_check_bloch(params, spec, 12, 10)
     assert not rep.holds
-    assert rep.grid_max_k == worst_k
-    assert rep.grid_min_k == best_k
+    assert rep.worst_k == worst_k
+    assert rep.min_k == best_k
     assert rep.right_residual == pytest.approx(right, rel=0, abs=1e-12)
     assert rep.left_residual == pytest.approx(left, rel=0, abs=1e-12)
-    assert rep.grid_min_residual == pytest.approx(best, rel=0, abs=1e-12)
+    assert rep.min_residual == pytest.approx(best, rel=0, abs=1e-12)
 
 
 _DIAG = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
@@ -135,10 +140,10 @@ def assert_survey_matches_matmul_form(p, nx, ny):
     assert survey["holding"] == [name for name, rep in ref.items() if rep.holds]
     for name, rep in survey["reports"].items():
         want = ref[name]
-        assert (rep.holds, rep.grid_max_k, rep.grid_min_k) == (
-            want.holds, want.grid_max_k, want.grid_min_k), (name, p, nx, ny)
+        assert (rep.holds, rep.worst_k, rep.min_k) == (
+            want.holds, want.worst_k, want.min_k), (name, p, nx, ny)
         # a complex W rounds its products differently from a matmul
-        for field in ("right_residual", "left_residual", "grid_min_residual"):
+        for field in ("right_residual", "left_residual", "min_residual"):
             assert abs(getattr(rep, field) - getattr(want, field)) <= 1e-15, (name, field, p)
     return survey["holding"]
 

@@ -1,6 +1,5 @@
 """Tests for the anti-unitary operator-pair construction and its relations."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -103,15 +102,14 @@ def test_generator_eigenvalues_dim5():
 
 
 def test_extract_rejects_an_eigensystem_flagged_defective():
-    # the subspace of a valid pair is found, but not once the eigensystem
-    # it is built from carries the defective flag
+    # the subspace of a valid pair is found, but not that of a Jordan block
+    # on the same draw, whose eigensystem carries the defective flag
     lam0 = -0.2 + 0.9j
-    H = random_degenerate_hamiltonian(5, 7, lam0)
-    es = eigensystem_n(H)
-    extract_degenerate_subspace(H, eigsys=es, lambda0=lam0)
-    with pytest.raises(ValueError, match="defective"):
-        extract_degenerate_subspace(H, eigsys=dataclasses.replace(es, defective=True),
-                                    lambda0=lam0)
+    extract_degenerate_subspace(random_degenerate_hamiltonian(5, 7, lam0), lambda0=lam0)
+    H = random_degenerate_hamiltonian(5, 7, lam0, defective=True)
+    assert eigensystem_n(H).defective
+    with pytest.raises(ValueError, match="eigensystem is defective"):
+        extract_degenerate_subspace(H, lambda0=lam0)
 
 
 def test_generator_deterministic():
@@ -237,6 +235,12 @@ def test_ensemble_zero_trials():
 def test_ensemble_rejects_bad_dims(dims):
     with pytest.raises(ValueError, match="dimensions"):
         run_ensemble(dims=dims, trials=3)
+
+
+@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0])
+def test_ensemble_rejects_a_bound_that_is_not_finite_and_positive(bound):
+    with pytest.raises(ValueError, match="bound must be finite and positive"):
+        run_ensemble(trials=3, bound=bound)
 
 
 @pytest.mark.parametrize("inject", [False, True])
