@@ -52,6 +52,6 @@ for i in order:
     loc = localization(band.eigenvectors[:, i], N)
     print(f"  skin-pinned zero mode: ipr {loc.ipr:.3f}, center {loc.center_of_mass:.1f}")
 
-bands = ribbon_spectrum(p_ti, "x", N, k_samples=64)
+bands = ribbon_spectrum(p_ti, "x", N, np.linspace(-np.pi, np.pi, 64, endpoint=False))
 write_band_csv("ribbon_bands.csv", bands)
 print("\n64-momentum band structure exported to ribbon_bands.csv")

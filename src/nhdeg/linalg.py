@@ -2,7 +2,7 @@
 
 Provides a residual-checked dense eigensolver for general complex matrices
 with biorthogonal left/right vectors and a flag for defective
-(non-diagonalizable) spectra.
+(non-diagonalizable) spectra, both at fixed thresholds.
 
 Conventions: right vectors satisfy H psi_R = lam psi_R, left vectors satisfy
 H_dag psi_L = conj(lam) psi_L, and biorthogonal normalization scales the
@@ -19,6 +19,7 @@ import numpy as np
 __all__ = ["Eigensystem", "eigensystem_n"]
 
 MAX_DENSE_DIM = 2048
+RESIDUAL_TOL = 1e-9
 
 
 @dataclass
@@ -84,15 +85,15 @@ def _take_columns(M, cols):
     return np.take_along_axis(M.swapaxes(-1, -2), cols[..., :, None], -2).swapaxes(-1, -2)
 
 
-def eigensystem_n(H, tol: float = 1e-9, want_left: bool = True) -> Eigensystem:
+def eigensystem_n(H, want_left: bool = True) -> Eigensystem:
     """Dense eigensystem of a general complex matrix with left/right pairing.
 
     Right vectors come from one dense solve on H, sorted by (Re, Im).  The
     left vectors are the columns of R^{-dag}: they come paired and
     biorthonormal, <l_m|r_n> = delta_mn, degenerate clusters included.  The
     system is flagged ``defective`` when some unit pair overlaps by less
-    than ``1e-14 / tol`` (the overlap is the inverse condition number of
-    the eigenvalue; a Jordan pair drives it to about 1e-8) or R is
+    than 1e-5 (the overlap is the inverse condition number of the
+    eigenvalue; a Jordan pair drives it to about 1e-8) or R is
     singular; the left vectors of a defective system are unreliable, so
     only its right residual is checked.
 
@@ -104,7 +105,7 @@ def eigensystem_n(H, tol: float = 1e-9, want_left: bool = True) -> Eigensystem:
     H may be a stack ``(..., n, n)``: every matrix is solved in the same
     LAPACK call, and entry i of each result equals the solve of ``H[i]``
     alone bit for bit.  Raises if the verified residual exceeds
-    ``tol * norm(H)``; for a stack, the first such matrix is named.
+    ``RESIDUAL_TOL * max(1, norm(H))``; for a stack, the first is named.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
@@ -114,8 +115,6 @@ def eigensystem_n(H, tol: float = 1e-9, want_left: bool = True) -> Eigensystem:
     dim = H.shape[-1]
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense solver limited to dim <= {MAX_DENSE_DIM}, got {dim}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lam, R = np.linalg.eig(H)
     order = np.lexsort((lam.imag, lam.real))
     lam, R = np.take_along_axis(lam, order, -1), _take_columns(R, order)
@@ -141,13 +140,13 @@ def eigensystem_n(H, tol: float = 1e-9, want_left: bool = True) -> Eigensystem:
         overlap = np.abs(np.sum(L.conj() * R, axis=-2)) / (norm_l * norm_r)
         # the unit left residual of R^{-dag} grows like 1e-15 |H| / overlap
         # (measured up to 0.6e-15 on near-Jordan matrices of dim 2-8), so
-        # this floor flags a pair well before its left residual nears tol
-        defective |= overlap.min(axis=-1) < 1e-14 / tol
+        # this floor flags a pair long before its left residual nears 1e-9
+        defective |= overlap.min(axis=-1) < 1e-5
         with np.errstate(all="ignore"):  # only read where not defective
             left = (np.linalg.norm(H.conj().swapaxes(-1, -2) @ L
                                    - L * np.conj(lam)[..., None, :], axis=-2) / norm_l).max(axis=-1)
         residual = np.where(defective, residual, np.maximum(residual, left))
-    _check(residual > tol * scale, RuntimeError, lambda i: (
-        f"eigensolver residual {residual[i]:.3e} exceeds {tol:.1e} * |H| = "
-        f"{tol * scale[i]:.3e}"))
+    _check(residual > RESIDUAL_TOL * scale, RuntimeError, lambda i: (
+        f"eigensolver residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.1e} * |H| = "
+        f"{RESIDUAL_TOL * scale[i]:.3e}"))
     return Eigensystem(lam, R, L, residual=_item(residual), defective=_item(defective))

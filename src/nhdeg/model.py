@@ -443,8 +443,8 @@ def save_params(p: ModelParams, path) -> None:
 def load_params(path) -> ModelParams:
     """Read a flat key-value parameter file written by :func:`save_params`.
 
-    Unknown keys raise; missing keys take their defaults.  Lines starting
-    with '#' and blank lines are ignored.
+    A bad line raises, naming the file and line; missing keys take their
+    defaults.  Lines starting with '#' and blank lines are ignored.
     """
     values = {}
     with open(path) as fh:
@@ -452,11 +452,16 @@ def load_params(path) -> ModelParams:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _PARAM_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
-            values[key] = float(val.strip())
+            key, eq, val = (part.strip() for part in line.partition("="))
+            try:
+                if not eq:
+                    raise ValueError("expected 'key = value'")
+                if key not in _PARAM_KEYS:
+                    raise ValueError(f"unknown parameter {key!r}")
+                if key in values:
+                    raise ValueError(f"repeated parameter {key!r}")
+                values[key] = float(val)
+                ModelParams(**{key: values[key]})  # the value's own checks
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return ModelParams(**values)

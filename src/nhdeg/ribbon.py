@@ -224,27 +224,20 @@ def _one_blas_thread():
                 set_(count)
 
 
-def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int,
-                    k_samples: int = 64, k_values=None) -> list:
-    """Diagonalize the ribbon over a transverse momentum grid.
+def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values) -> list:
+    """One band per transverse momentum of ``k_values``, in the given order.
 
-    Either pass explicit ``k_values`` or a number of uniform samples over
-    [-pi, pi).  Eigenvalues per momentum are sorted ascending by real part
-    (ties by imaginary part); edge flags are attached per state.
+    Eigenvalues per momentum are sorted ascending by real part (ties by
+    imaginary part); edge flags are attached per state.
 
     Requested momenta that agree modulo pi (within 1e-12) share one dense
     solve, made at the first of them whose wrapped value lies in [0, pi);
     a momentum in [-pi, 0) without such a partner is solved directly.
     Bands from one solve share its read-only arrays, except that a partner
-    across pi gets its own gauge-mapped eigenvectors (module docstring).
-
-    The solves are split over one thread per available CPU, the calling
-    thread included, with OpenBLAS pinned to one thread for the sweep.
-    Each solve is then single-threaded, so the bands do not depend on the
-    number of CPUs or on ``OPENBLAS_NUM_THREADS``.
+    across pi gets its own gauge-mapped eigenvectors.  The solves run in
+    parallel with OpenBLAS pinned to one thread (both in the module
+    docstring), so the bands do not depend on the number of CPUs.
     """
-    if k_values is None:
-        k_values = _k_grid(k_samples)
     ks = [float(k) for k in k_values]
     wrapped = (np.array(ks) + np.pi) % (2 * np.pi) - np.pi
     lower = wrapped < 0

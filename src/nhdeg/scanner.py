@@ -337,25 +337,25 @@ _CORNER_DX, _CORNER_DY = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
 _EDGE_BASE = np.array([0, 1, 3, 0])
 
 
-def _marching_squares(kx, ky, values, zero_tol):
+def _marching_squares(kx, ky, values):
     """Zero-level segments with linear edge interpolation (non-wrapping).
 
     Returns the (m, 2, 2) segment endpoints in row-major cell order and the
     (m, 2) ids of the grid edges they lie on; only the cells whose corners
-    straddle ``zero_tol`` are interpolated.
+    straddle zero are interpolated.
     """
     ny, nx = values.shape
-    above = (values > zero_tol).astype(np.uint8)
+    above = (values > 0.0).astype(np.uint8)
     code = (above[:-1, :-1] | above[:-1, 1:] << 1
             | above[1:, 1:] << 2 | above[1:, :-1] << 3)
     iy, ix = np.nonzero((code != 0) & (code != 15))
     code = code[iy, ix]
     c = values[iy[:, None] + _CORNER_DY, ix[:, None] + _CORNER_DX]
-    # saddle: a cell-center average above zero_tol joins the two above corners
+    # saddle: a cell-center average above zero joins the two above corners
     # through the cell (15 - code cuts off the other pair)
     center = (c[:, 0] + c[:, 1] + c[:, 2] + c[:, 3]) / 4.0
     saddle = (code == 5) | (code == 10)
-    code = np.where(saddle & (center > zero_tol), 15 - code, code)
+    code = np.where(saddle & (center > 0.0), 15 - code, code)
     cell = np.repeat(np.arange(len(code)), 1 + saddle)
     second = (np.diff(cell, prepend=-1) == 0).astype(int)  # a saddle's second segment
     e = _SEGMENTS[code[cell], second]
@@ -405,13 +405,13 @@ def _stitch(points, edges):
     return polylines
 
 
-def zero_curves(fld: ScalarField, which: str, zero_tol: float = 0.0) -> ZeroCurve:
+def zero_curves(fld: ScalarField, which: str) -> ZeroCurve:
     """Extract the zero-level contours of one real component of a field.
 
-    ``which`` selects 'Re_eta' or 'Im_eta' for a complex discriminant field
-    (or 'field' for an already real field).  Identically vanishing fields
-    are reported through ``everywhere_zero`` instead of polylines.  Each
-    axis needs at least 2 samples.
+    ``which`` selects 'Re_eta' or 'Im_eta' of a discriminant field, or
+    'field' for a real one; for a level c, pass the field minus c.  An
+    identically vanishing component sets ``everywhere_zero`` instead of
+    being traced.  Each axis needs at least 2 samples.
     """
     if which in ("Re_eta", "field"):
         comp = fld.values.real
@@ -430,7 +430,7 @@ def zero_curves(fld: ScalarField, which: str, zero_tol: float = 0.0) -> ZeroCurv
     # seam are traced too; a curve that crosses the seam stays split there
     kx, ky = np.append(fld.kx, np.pi), np.append(fld.ky, np.pi)
     comp_ext = np.pad(comp, ((0, 1), (0, 1)), mode="wrap")
-    polylines = _stitch(*_marching_squares(kx, ky, comp_ext, zero_tol))
+    polylines = _stitch(*_marching_squares(kx, ky, comp_ext))
     dk = max(fld.kx[1] - fld.kx[0], fld.ky[1] - fld.ky[0])
     # isolated even-order zeros leave no sign change; report the grid minima
     # at least two cells away from every traced vertex

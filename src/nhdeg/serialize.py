@@ -5,8 +5,7 @@ results, then hand them to one ``write_*`` function per file.  Every file
 carries the ``nhdeg/1`` format marker: JSON documents as a ``"format"``
 field next to the toolkit version, CSV files as a leading comment line.
 Floats are written with ``repr``, which round-trips exactly, so identical
-inputs produce identical bytes and re-importing a vector-field export
-reproduces the samples bit for bit.
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "FORMAT",
     "write_json",
     "write_vector_field_csv",
-    "read_vector_field_csv",
     "write_band_csv",
     "write_phases_csv",
 ]
@@ -71,34 +69,6 @@ def write_vector_field_csv(path, field) -> None:
             y = repr(ky)
             fh.write("".join([f"{x},{y},{re!r},{im!r}\n"
                               for x, re, im in zip(kx, re_row, im_row)]))
-
-
-def read_vector_field_csv(path):
-    """Re-import a vector-field CSV; returns a ScalarField, bit-exact."""
-    from .scanner import ScalarField
-
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != f"# format={FORMAT}":
-            raise ValueError(f"unrecognized format header {header!r}")
-        columns = fh.readline().strip()
-        if columns != "kx,ky,re_eta,im_eta":
-            raise ValueError(f"unexpected columns {columns!r}")
-        for line in fh:
-            kx, ky, re, im = line.strip().split(",")
-            rows.append((float(kx), float(ky), float(re), float(im)))
-    kx = sorted({r[0] for r in rows})
-    ky = sorted({r[1] for r in rows})
-    nx, ny = len(kx), len(ky)
-    if nx * ny != len(rows):
-        raise ValueError("rows do not form a complete grid")
-    values = np.empty((ny, nx), dtype=complex)
-    pos_x = {v: i for i, v in enumerate(kx)}
-    pos_y = {v: i for i, v in enumerate(ky)}
-    for rkx, rky, re, im in rows:
-        values[pos_y[rky], pos_x[rkx]] = re + 1j * im
-    return ScalarField(kx=np.array(kx), ky=np.array(ky), values=values)
 
 
 def write_band_csv(path, bands, dump_vectors: bool = False) -> None:

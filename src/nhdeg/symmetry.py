@@ -128,7 +128,12 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
     that norm is smaller.  Extrema tend to come in pairs tied up to
     rounding; the momentum reported is the first, in a kx-outer scan of
     the grid, whose residual lies within a relative 1e-12 of the extremum.
+    Every hop spans at most one cell, so each residual entry is a
+    trigonometric polynomial of degree <= 1 in kx and in ky: 3 momenta per
+    axis decide whether it vanishes, and fewer raise ValueError.
     """
+    if min(nx, ny) < 3:
+        raise ValueError(f"check_bloch needs at least 3 momenta per axis, got {nx}x{ny}")
     # W = [[0, a], [b, 0]] with (b, a) = (exp(-2i gamma), 1) under the site
     # phases and (1, 1) without, so h W swaps the columns of h and scales
     # them by (b, a), and W h swaps its rows and scales them by (a, b)

@@ -53,6 +53,8 @@ __all__ = [
 _CLUSTER_TOL = 1e-7
 # default bound on the ensemble's relative residuals
 RESIDUAL_BOUND = 1e-9
+# bound of DegenerateSubspace.validate, residuals relative to max(1, |H|)
+SUBSPACE_TOL = 1e-8
 
 
 def _mv(A, v):
@@ -99,16 +101,16 @@ class DegenerateSubspace:
         R = np.stack([self.psi_r1, self.psi_r2], axis=-1)
         return _adjoint(L) @ R
 
-    def validate(self, H=None, tol: float = 1e-8) -> None:
-        """Check biorthonormality, and the eigenvector property if H is given."""
+    def validate(self, H=None) -> None:
+        """Check biorthonormality, and the eigen pairs if H is given, to SUBSPACE_TOL."""
         G = self.gram()
         err = _fro(G - np.eye(2))
-        _check(err > tol, ValueError, lambda i: (
+        _check(err > SUBSPACE_TOL, ValueError, lambda i: (
             f"subspace is not biorthonormal (|G - 1| = {err[i]:.3e}); Gram = {G[i]!r}"))
         if H is None:
             return
         H = np.asarray(H, dtype=complex)
-        bound = tol * np.maximum(1.0, _fro(H))
+        bound = SUBSPACE_TOL * np.maximum(1.0, _fro(H))
         lam0 = np.asarray(self.lambda0)[..., None]
         for side, A, lam, vecs in (("right", H, lam0, (self.psi_r1, self.psi_r2)),
                                    ("left", _adjoint(H), np.conj(lam0),

@@ -20,8 +20,7 @@ from nhdeg.cli import build_parser, main
 from nhdeg.model import ModelParams, load_params, phase_boundaries, save_params
 from nhdeg.scanner import ScalarField, scan_discriminant
 from nhdeg.ribbon import RibbonBand
-from nhdeg.serialize import (FORMAT, read_vector_field_csv, write_band_csv,
-                             write_vector_field_csv)
+from nhdeg.serialize import FORMAT, write_band_csv, write_vector_field_csv
 
 
 @pytest.fixture
@@ -48,6 +47,14 @@ def gapped_file(tmp_path):
 # ---------------------------------------------------------------------------
 # serialization
 
+def _load_field(path, nx):
+    """A field.csv read back with np.loadtxt: kx and the (ny, nx) values."""
+    kx, _, re, im = np.loadtxt(path, delimiter=",", skiprows=2).T
+    values = np.empty(re.shape, dtype=complex)
+    values.real, values.imag = re, im
+    return kx[:nx], values.reshape(-1, nx)
+
+
 def test_vector_field_roundtrip_synthetic(tmp_path):
     kx = np.linspace(-np.pi, np.pi, 3, endpoint=False)
     vals = (np.arange(9, dtype=float) + 1j * np.arange(9)[::-1]).reshape(3, 3)
@@ -58,17 +65,17 @@ def test_vector_field_roundtrip_synthetic(tmp_path):
     assert lines[0] == f"# format={FORMAT}"
     assert lines[1] == "kx,ky,re_eta,im_eta"
     assert len(lines) == 2 + 9
-    back = read_vector_field_csv(path)
-    assert np.array_equal(back.values, vals)
-    assert np.array_equal(back.kx, kx)
+    back_kx, back_values = _load_field(path, 3)
+    assert np.array_equal(back_values, vals)
+    assert np.array_equal(back_kx, kx)
 
 
 def test_vector_field_roundtrip_model(tmp_path):
     fld = scan_discriminant(ModelParams(gamma=0.4, gx=0.2, gy=0.1), 24, 24)
     path = tmp_path / "field.csv"
     write_vector_field_csv(path, fld)
-    back = read_vector_field_csv(path)
-    assert np.array_equal(back.values, fld.values)  # bit-exact round trip
+    _, back_values = _load_field(path, 24)
+    assert np.array_equal(back_values, fld.values)  # bit-exact round trip
 
 
 def test_vector_field_supports_flow_reversal_detection(tmp_path):
@@ -79,9 +86,9 @@ def test_vector_field_supports_flow_reversal_detection(tmp_path):
     fld = scan_discriminant(p, 64, 64)
     path = tmp_path / "field.csv"
     write_vector_field_csv(path, fld)
-    back = read_vector_field_csv(path)
-    assert np.abs(back.values.imag).max() < 1e-12
-    row = back.values[32].real  # a cut at fixed ky crossing the curves
+    _, back_values = _load_field(path, 64)
+    assert np.abs(back_values.imag).max() < 1e-12
+    row = back_values[32].real  # a cut at fixed ky crossing the curves
     signs = np.sign(row[np.abs(row) > 1e-12])
     assert np.any(signs[:-1] != signs[1:])
 
@@ -131,13 +138,6 @@ def test_band_csv_matches_row_writer(tmp_path, dump_vectors):
                 comps = ";".join(repr(float(abs(c))) for c in band.eigenvectors[:, n])
                 expected.append(f"# |psi| k={band.transverse_k!r} index={n}: {comps}\n")
     assert path.read_text() == "".join(expected)
-
-
-def test_vector_field_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# format=other/9\nkx,ky,re_eta,im_eta\n")
-    with pytest.raises(ValueError, match="format"):
-        read_vector_field_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,39 @@ def test_cli_float_flags_reject_non_finite(tmp_path, regime1_file, capsys, comma
     assert main([command, *params, f"{flag}={value}", "--out", str(out)]) == 2
     assert f"error: argument {flag}: expected a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the commands that read a parameter file
+PARAMS_COMMANDS = sorted({command for command, action in _parser_actions()
+                          if action.option_strings == ["--params"]})
+
+
+@pytest.mark.parametrize("command", PARAMS_COMMANDS)
+@pytest.mark.parametrize("text,lineno,message", [
+    ("t = 1.0\nt1 = abc\n", 2, "could not convert string to float: 'abc'"),
+    ("t1 = 0.5\ngamma = 0.5\nt1 = 0.7\n", 3, "repeated parameter 't1'"),
+    ("# comment\nt1 = 0.5\nnonsense = 1\n", 3, "unknown parameter 'nonsense'"),
+], ids=["bad_value", "repeated_key", "unknown_key"])
+def test_cli_rejects_bad_params_file(tmp_path, capsys, command, text, lineno, message):
+    assert PARAMS_COMMANDS == ["phases", "ribbon", "scan", "symmetry"]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--params", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{lineno}: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_symmetry_rejects_a_grid_below_three_momenta(tmp_path, regime3_file, capsys):
+    # on this recipe a 2x2 grid shows upsilon holding, though t1 breaks it
+    out = tmp_path / "out"
+    assert main(["symmetry", "--params", str(regime3_file), "--nx", "2", "--ny", "2",
+                 "--out", str(out)]) == 2
+    assert "at least 3 momenta per axis" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["symmetry", "--params", str(regime3_file), "--nx", "3", "--ny", "3",
+                 "--out", str(out)]) == 0
+    assert "upsilon" not in json.loads((out / "symmetry.json").read_text())["holding"]
 
 
 @pytest.mark.parametrize("command", ["theorem", "scan"])

@@ -510,3 +510,24 @@ def test_params_file_errors(tmp_path):
     path.write_text("t = 1.0\nbogus = 3\n")
     with pytest.raises(ValueError, match="bogus"):
         load_params(path)
+
+
+# (file text, line and message of the first bad line)
+BAD_PARAM_FILES = {
+    "bad_value": ("t = 1.0\nt1 = abc\n", 2, "could not convert string to float: 'abc'"),
+    "non_finite": ("gamma = 0.5\ngx = nan\n", 2, "parameter gx is not finite: nan"),
+    "non_positive_t": ("t = -1\n", 1, "t must be positive (energy unit), got -1.0"),
+    "repeated_key": ("t1 = 0.5\ngamma = 0.5\nt1 = 0.7\n", 3, "repeated parameter 't1'"),
+    "unknown_key": ("# comment\nt1 = 0.5\nnonsense = 1\n", 3, "unknown parameter 'nonsense'"),
+    "no_equals": ("\nt1 0.5\n", 2, "expected 'key = value'"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_PARAM_FILES)
+def test_params_file_errors_name_file_and_line(tmp_path, kind):
+    text, lineno, message = BAD_PARAM_FILES[kind]
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_params(path)
+    assert str(info.value) == f"{path}:{lineno}: {message}"

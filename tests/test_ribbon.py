@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nhdeg.ribbon
-from nhdeg.model import ModelParams, _hop_list
+from nhdeg.model import ModelParams, _hop_list, _k_grid
 from nhdeg.ribbon import (_gauge_signs, _localize, bulk_gap_interval, in_gap_indices,
                           localization, obc_defective_check, ribbon_hamiltonian,
                           ribbon_spectrum, skin_metric)
@@ -58,7 +58,7 @@ def test_ribbon_hamiltonian_validation():
 
 
 def test_ribbon_spectrum_sorted_and_sized():
-    bands = ribbon_spectrum(P_TI, "x", 12, k_samples=4)
+    bands = ribbon_spectrum(P_TI, "x", 12, _k_grid(4))
     assert len(bands) == 4
     for band in bands:
         assert len(band.eigenvalues) == 24
@@ -200,7 +200,7 @@ def test_odd_hop_breaks_the_gauge(monkeypatch):
     hops = _hop_list(P_TI)
     monkeypatch.setattr(nhdeg.ribbon, "_hop_list", lambda p: hops + [(0, 1, 0, 0, 0.1)])
     with pytest.raises(ValueError, match="gauge"):
-        ribbon_spectrum(P_TI, "x", 8, k_samples=4)
+        ribbon_spectrum(P_TI, "x", 8, _k_grid(4))
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -220,7 +220,7 @@ def test_gauge_maps_k_to_k_plus_pi(axis):
                          + [(p, "y") for p in _seeded_params(3, seed=2)])
 def test_mapped_bands_solve_their_own_hamiltonian(p, axis):
     n, k_samples = 12, 8
-    bands = ribbon_spectrum(p, axis, n, k_samples=k_samples)
+    bands = ribbon_spectrum(p, axis, n, _k_grid(k_samples))
     for band, partner in zip(bands[:k_samples // 2], bands[k_samples // 2:]):
         assert band.transverse_k < 0 <= partner.transverse_k
         assert np.array_equal(band.eigenvalues, partner.eigenvalues)
@@ -234,7 +234,7 @@ def test_mapped_bands_solve_their_own_hamiltonian(p, axis):
 def test_mapped_hermitian_eigenvalues_match_direct_solve():
     # P_HERM is well conditioned, so mapped and direct spectra agree closely
     n = 16
-    for band in ribbon_spectrum(P_HERM, "y", n, k_samples=10):
+    for band in ribbon_spectrum(P_HERM, "y", n, _k_grid(10)):
         direct = np.linalg.eigvalsh(ribbon_hamiltonian(P_HERM, "y", n, band.transverse_k))
         assert np.abs(np.sort(band.eigenvalues.real) - direct).max() < 1e-10
 
@@ -250,7 +250,7 @@ def test_one_solve_per_momentum_pair(monkeypatch):
     monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", counting)
     for k_samples, expected in ((8, 4), (10, 5), (7, 7), (9, 9)):
         calls.clear()
-        assert len(ribbon_spectrum(P_TI, "x", 8, k_samples=k_samples)) == k_samples
+        assert len(ribbon_spectrum(P_TI, "x", 8, _k_grid(k_samples))) == k_samples
         assert len(calls) == expected
     for k in (-np.pi, -2.0, -np.pi / 2, 0.0, 1.2, np.pi):
         calls.clear()
@@ -326,7 +326,7 @@ def test_bands_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, p, axis,
     for workers in (1, 2, 3):
         monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: workers)
         path = tmp_path / f"bands-{workers}.csv"
-        write_band_csv(path, ribbon_spectrum(p, axis, n, k_samples=16), dump_vectors=True)
+        write_band_csv(path, ribbon_spectrum(p, axis, n, _k_grid(16)), dump_vectors=True)
         files.append(path.read_bytes())
     assert files[0] == files[1] == files[2]
 
@@ -345,7 +345,7 @@ def test_sweep_pins_and_restores_the_blas_thread_count(monkeypatch):
     monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", recording)
     try:
         _set_blas_counts(two)
-        ribbon_spectrum(P_TI, "x", 8, k_samples=8)
+        ribbon_spectrum(P_TI, "x", 8, _k_grid(8))
         assert seen == [one] * 4
         assert _blas_counts() == two
     finally:
@@ -368,7 +368,7 @@ def test_failed_solve_restores_the_blas_thread_count_and_raises(monkeypatch):
     try:
         _set_blas_counts(two)
         with pytest.raises(RuntimeError, match="solve failed"):
-            ribbon_spectrum(P_TI, "x", 8, k_samples=8)
+            ribbon_spectrum(P_TI, "x", 8, _k_grid(8))
         assert _blas_counts() == two
     finally:
         _set_blas_counts(before)
@@ -388,7 +388,7 @@ def test_without_blas_calls_the_sweep_is_serial(monkeypatch):
     monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
     monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", recording)
     n = 12
-    bands = ribbon_spectrum(P_TI, "y", n, k_samples=8)
+    bands = ribbon_spectrum(P_TI, "y", n, _k_grid(8))
     assert threads == [threading.main_thread()] * 4
     for band in bands[4:]:
         es = solve(ribbon_hamiltonian(P_TI, "y", n, band.transverse_k), want_left=False)
@@ -406,7 +406,7 @@ def test_concurrent_sweeps_under_thread_stress(monkeypatch):
     before = _blas_counts()
     two, one = [2] * len(before), [1] * len(before)
     sizes = (16, 64)
-    reference = [ribbon_spectrum(P_TI, "y", 12, k_samples=k) for k in sizes]
+    reference = [ribbon_spectrum(P_TI, "y", 12, _k_grid(k)) for k in sizes]
     seen = []
     solving = threading.Event()
     solve = nhdeg.ribbon.eigensystem_n
@@ -424,7 +424,7 @@ def test_concurrent_sweeps_under_thread_stress(monkeypatch):
     def sweep(slot):
         if slot:
             solving.wait(timeout=10)
-        results[slot] = ribbon_spectrum(P_TI, "y", 12, k_samples=sizes[slot])
+        results[slot] = ribbon_spectrum(P_TI, "y", 12, _k_grid(sizes[slot]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -538,10 +538,10 @@ def same_polyline(a, b, tol=1e-12):
 def test_marching_squares_matches_per_cell_reference():
     for fld in random_fields():
         kx, ky, comp = padded(fld, fld.values.real)
-        for zero_tol in (0.0, 1.0):
-            ref = np.array(ref_marching_squares(kx, ky, comp, zero_tol),
+        for level in (0.0, 1.0):
+            ref = np.array(ref_marching_squares(kx, ky, comp - level, 0.0),
                            dtype=float).reshape(-1, 2, 2)
-            points, edges = _marching_squares(kx, ky, comp, zero_tol)
+            points, edges = _marching_squares(kx, ky, comp - level)
             assert points.shape == ref.shape
             assert points.tobytes() == ref.tobytes()
             # a grid edge holds at most two ends, and they coincide
@@ -556,7 +556,7 @@ def test_marching_squares_saddle_joins_corners_through_center():
     # corners 0 and 2 above, center (2 - 1 + 2 - 1) / 4 = 0.5 above as well:
     # the segments cut off the below corners 1 and 3
     points, _ = _marching_squares(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                                  np.array([[2.0, -1.0], [-1.0, 2.0]]), 0.0)
+                                  np.array([[2.0, -1.0], [-1.0, 2.0]]))
     np.testing.assert_allclose(points, [[[2 / 3, 0], [1, 1 / 3]],
                                         [[1 / 3, 1], [0, 2 / 3]]], atol=1e-15)
 

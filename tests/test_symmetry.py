@@ -185,6 +185,37 @@ def test_doubleprime_reduces_to_prime_at_gamma_zero():
     assert rep_p.holds and rep_d.holds
 
 
+@pytest.mark.parametrize("nx,ny", [(1, 32), (2, 2), (32, 2), (0, 3)])
+def test_check_bloch_needs_three_momenta_per_axis(nx, ny):
+    message = f"^check_bloch needs at least 3 momenta per axis, got {nx}x{ny}$"
+    with pytest.raises(ValueError, match=message):
+        check_bloch(REGIME3_G0, builtin_spec("upsilon"), nx, ny)
+    with pytest.raises(ValueError, match=message):
+        symmetry_survey(REGIME3_G0, nx, ny)
+
+
+def test_check_bloch_three_momenta_per_axis_decide_the_verdict():
+    # each residual entry is a trigonometric polynomial of degree <= 1 per
+    # axis, so a 3x3 grid gives the 32x32 verdict on every draw; a 2x2 grid,
+    # computed by the oracle that has no floor, gets some of them wrong
+    rng = np.random.default_rng(5)
+    held, wrong_on_2x2 = set(), 0
+    for trial in range(200):
+        gamma = (0.0, np.pi / 4, np.pi / 2, rng.uniform(-np.pi, np.pi))[trial % 4]
+        t1 = 0.0 if trial % 3 == 0 else rng.uniform(-1, 1)
+        v = 0.0 if trial % 3 < 2 else rng.uniform(-1, 1)
+        p = ModelParams(t1=t1, v=v, gamma=gamma, gx=rng.uniform(-1, 1),
+                        gy=rng.uniform(-1, 1), ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1))
+        holding = symmetry_survey(p, 32, 32)["holding"]
+        assert symmetry_survey(p, 3, 3)["holding"] == holding, p
+        coarse = [name for name in BUILTIN_NAMES
+                  if check_bloch_matmul(p, builtin_spec(name), 2, 2).holds]
+        wrong_on_2x2 += coarse != holding
+        held.update(holding)
+    assert held == set(BUILTIN_NAMES)
+    assert wrong_on_2x2 > 0
+
+
 def test_realspace_matches_regime1():
     rep = check_realspace(REGIME1, builtin_spec("upsilon"), 4, 4)
     assert rep.holds
