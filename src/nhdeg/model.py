@@ -16,6 +16,7 @@ boundaries of the insulating regimes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -62,6 +63,7 @@ class ModelParams:
     the Peierls phase in radians, ``gx``/``gy`` the nearest-neighbor
     nonreciprocity exponents and ``ga``/``gb`` the diagonal ones.
     ``mu_a``/``mu_b`` are optional imaginary onsite terms, zero by default.
+    Every value, every hop amplitude and both phase boundaries must be finite.
     """
 
     t: float = 1.0
@@ -84,6 +86,11 @@ class ModelParams:
             object.__setattr__(self, f.name, float(val))
         if self.t <= 0:
             raise ValueError(f"t must be positive (energy unit), got {self.t}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [amp for *_, amp in _hop_list(self)] + [_boundary(self)]
+        if not all(map(cmath.isfinite, values)):
+            raise ValueError("a hop amplitude or phase boundary is not finite "
+                             "(an exp(+-g) factor or its product with t or t1 overflows)")
 
     def replace(self, **kw) -> "ModelParams":
         return replace(self, **kw)
@@ -303,8 +310,13 @@ def phase_boundaries(p: ModelParams) -> tuple[float, float]:
     v1 = -2 t1 (cosh ga + cosh gb) closes the gap on the X1 pair and
     v2 = +2 t1 (cosh ga + cosh gb) on the X2 pair.
     """
-    w = 2.0 * p.t1 * (np.cosh(p.ga) + np.cosh(p.gb))
+    w = _boundary(p)
     return -w, w
+
+
+def _boundary(p: ModelParams):
+    """v2 = 2 t1 (cosh ga + cosh gb); ``ModelParams`` checks that it is finite."""
+    return 2.0 * p.t1 * (np.cosh(p.ga) + np.cosh(p.gb))
 
 
 def phase_classify(p: ModelParams, tol: float = 1e-9) -> str:
@@ -461,7 +473,7 @@ def load_params(path) -> ModelParams:
                 if key in values:
                     raise ValueError(f"repeated parameter {key!r}")
                 values[key] = float(val)
-                ModelParams(**{key: values[key]})  # the value's own checks
+                ModelParams(**values)  # the values read so far, with this one
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return ModelParams(**values)

@@ -121,11 +121,8 @@ def ribbon_hamiltonian(p: ModelParams, open_axis: str, n_cells: int,
         raise ValueError(f"open_axis must be 'x' or 'y', got {open_axis!r}")
     if n_cells < 8:
         raise ValueError("need at least 8 cells across the ribbon")
-    if open_axis == "x":
-        return real_space_hamiltonian(p, n_cells, n_cells, bc=("open", "periodic"),
-                                      transverse_k=transverse_k)
-    return real_space_hamiltonian(p, n_cells, n_cells, bc=("periodic", "open"),
-                                  transverse_k=transverse_k)
+    bc = ("open", "periodic") if open_axis == "x" else ("periodic", "open")
+    return real_space_hamiltonian(p, n_cells, n_cells, bc=bc, transverse_k=transverse_k)
 
 
 def _localize(vecs: np.ndarray, n_cells: int):
@@ -308,17 +305,17 @@ def bulk_gap_interval(p: ModelParams, open_axis: str,
         plus, minus = dispersion(p, ks, transverse_k)
     else:
         plus, minus = dispersion(p, transverse_k, ks)
-    both = np.stack([np.asarray(plus), np.asarray(minus)])
-    lo = np.minimum(both[0].real, both[1].real).max()
-    hi = np.maximum(both[0].real, both[1].real).min()
+    lo = np.minimum(plus.real, minus.real).max()
+    hi = np.maximum(plus.real, minus.real).min()
     return float(lo), float(hi)
 
 
 def in_gap_indices(band: RibbonBand, gap: tuple[float, float]) -> list:
-    """Indices of ribbon states whose Re eigenvalue lies inside the bulk gap."""
+    """Indices of ribbon states whose Re eigenvalue lies inside the bulk gap.
+
+    Both edges move ``_GAP_MARGIN`` inward, so a narrower gap holds none.
+    """
     lo, hi = gap
-    if hi - lo <= _GAP_MARGIN:
-        return []
     return [n for n, ev in enumerate(band.eigenvalues)
             if lo + _GAP_MARGIN < ev.real < hi - _GAP_MARGIN]
 

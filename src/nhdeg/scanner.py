@@ -31,7 +31,6 @@ __all__ = [
     "find_degeneracies",
     "zero_curves",
     "fermi_curves",
-    "fold_points",
     "NONDEFECTIVE_MATRIX_TOL",
     "DEFECTIVE_OVERLAP_FLOOR",
     "NEWTON_TOL",
@@ -231,7 +230,8 @@ def _dedup(points: np.ndarray, fold: bool = False):
     """Indices of the points that survive a torus dedup within ``_DEDUP_RADIUS``.
 
     A point is kept when it lies farther than the radius from every point
-    kept before it; with ``fold`` its (pi, pi) image must as well.
+    kept before it; with ``fold`` its (pi, pi) image must as well, so one
+    greedy pass both merges duplicates and folds the reduced zone.
     """
     keep = []
     for i, q in enumerate(points):
@@ -257,38 +257,29 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
                       tol: float = NEWTON_TOL, fold: bool = False) -> ScanResult:
     """Locate and classify all degeneracies of the Bloch matrix.
 
-    Grid candidates come from simultaneous Re/Im sign-change cells and from
-    every local minimum of |eta|; each candidate is refined until |eta| <=
-    tol (non-converged candidates are dropped and counted).  Refined points
-    are deduplicated on the torus within ``_DEDUP_RADIUS`` and classified.
-    Points are sorted by (kx, ky) snapped to a fine torus lattice, so
-    their order does not hinge on sub-grid solver noise.  With ``fold``,
-    points equivalent under the reduced-zone shift (pi, pi) are merged.
+    Candidates are the centres of the cells where Re and Im eta both change
+    sign, then every local minimum of |eta|; each is refined until |eta| <=
+    tol (non-converged candidates are dropped and counted).  One greedy
+    torus dedup within ``_DEDUP_RADIUS`` picks the refined points to
+    classify; with ``fold`` it also merges points equivalent under the
+    reduced-zone shift (pi, pi).  Points are sorted by (kx, ky) snapped to
+    a fine torus lattice, so their order does not hinge on sub-grid solver
+    noise.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     fld = scan_discriminant(p, nx, ny)
-    cells = _sign_change_cells(fld.values)
-    minima = _local_minima(np.abs(fld.values), np.inf)
-    dkx, dky = _TWO_PI / nx, _TWO_PI / ny
-
-    seeds = []
-    for iy, ix in cells:
-        seeds.append((fld.kx[ix] + 0.5 * dkx, fld.ky[iy] + 0.5 * dky))
-    for iy, ix in minima:
-        seeds.append((fld.kx[ix], fld.ky[iy]))
-    if not seeds:
-        return ScanResult(points=[], n_candidates=0, n_dropped=0, field=fld)
-    seeds = np.asarray(seeds)
+    cy, cx = _sign_change_cells(fld.values).T
+    my, mx = _local_minima(np.abs(fld.values), np.inf).T
+    seeds = np.column_stack([np.concatenate([fld.kx[cx] + np.pi / nx, fld.kx[mx]]),
+                             np.concatenate([fld.ky[cy] + np.pi / ny, fld.ky[my]])])
 
     refined, absf, iters, converged = _refine(p, seeds, tol)
-    n_dropped = int((~converged).sum())
     refined = _wrap(refined[converged])
-    absf = absf[converged]
-    iters = iters[converged]
+    absf, iters = absf[converged], iters[converged]
 
     points = []
-    for i in _dedup(refined):
+    for i in _dedup(refined, fold):
         k = refined[i]
         lam0, kind, overlap = _classify(p, k)
         # a coordinate just below the seam pi reads at its image near -pi
@@ -297,11 +288,9 @@ def find_degeneracies(p: ModelParams, nx: int = 501, ny: int = 501,
                                       kind=kind, eta_residual=float(absf[i]),
                                       coalescence_overlap=float(overlap),
                                       newton_iters=int(iters[i])))
-    if fold:
-        points = fold_points(points)
     points.sort(key=_sort_key)
-    return ScanResult(points=points, n_candidates=len(seeds), n_dropped=n_dropped,
-                      field=fld)
+    return ScanResult(points=points, n_candidates=len(seeds),
+                      n_dropped=int((~converged).sum()), field=fld)
 
 
 def _sort_step(k):
@@ -310,14 +299,8 @@ def _sort_step(k):
 
 
 def _sort_key(q):
-    """(kx, ky) of a point in lattice steps from -pi, modulo the torus."""
-    return tuple(_sort_step(k) % _SORT_STEPS for k in (q.kx, q.ky))
-
-
-def fold_points(points):
-    """Merge degeneracy points equivalent under the (pi, pi) zone folding."""
-    ks = np.array([(q.kx, q.ky) for q in points]).reshape(-1, 2)
-    return [points[i] for i in _dedup(ks, fold=True)]
+    """(kx, ky) of a point in lattice steps from -pi; seam points read near -pi."""
+    return _sort_step(q.kx), _sort_step(q.ky)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +344,9 @@ def _marching_squares(kx, ky, values):
     e = _SEGMENTS[code[cell], second]
     a, b = e, (e + 1) % 4
     va, vb = c[cell[:, None], a], c[cell[:, None], b]
-    same = va == vb
-    frac = np.where(same, 0.5, va / np.where(same, 1.0, va - vb))
-    frac = np.minimum(np.maximum(frac, 0.0), 1.0)
+    # one corner is > 0 and the other <= 0, so va != vb and, as rounding is
+    # monotone, the rounded va / (va - vb) already lies in [0, 1]
+    frac = va / (va - vb)
     jy, jx = iy[cell][:, None], ix[cell][:, None]
     xa, xb = kx[jx + _CORNER_DX[a]], kx[jx + _CORNER_DX[b]]
     ya, yb = ky[jy + _CORNER_DY[a]], ky[jy + _CORNER_DY[b]]

@@ -190,10 +190,12 @@ def check_realspace(p: ModelParams, spec: CompositeSymmetrySpec,
     Builds the full operator matrix A and the Hamiltonians at the original
     and mapped parameters, then evaluates |H(p) A - A H(pi(p))^T| and
     |A conj(H(pi(p))) - H(p)^dag A| (Frobenius, relative to |H|).  This is
-    the ground-truth form the Bloch check is calibrated against.
+    the ground-truth form the Bloch check is calibrated against.  As there,
+    3 momenta per axis decide the verdict; nx must also be even (the
+    translated operator must wrap), so the torus needs nx >= 4 and ny >= 3.
     """
-    if nx % 2:
-        raise ValueError("nx must be even (the translated operator must wrap)")
+    if nx % 2 or nx < 4 or ny < 3:
+        raise ValueError(f"check_realspace needs an even nx >= 4 and ny >= 3, got {nx}x{ny}")
     if spec.site_phase:
         for n, label in ((nx, "nx"), (ny, "ny")):
             wind = 2.0 * p.gamma * n / (2 * np.pi)

@@ -290,6 +290,9 @@ def test_cli_float_flags_reject_non_finite(tmp_path, regime1_file, capsys, comma
     assert not out.exists()
 
 
+OVERFLOW = ("a hop amplitude or phase boundary is not finite "
+            "(an exp(+-g) factor or its product with t or t1 overflows)")
+
 # the commands that read a parameter file
 PARAMS_COMMANDS = sorted({command for command, action in _parser_actions()
                           if action.option_strings == ["--params"]})
@@ -300,7 +303,10 @@ PARAMS_COMMANDS = sorted({command for command, action in _parser_actions()
     ("t = 1.0\nt1 = abc\n", 2, "could not convert string to float: 'abc'"),
     ("t1 = 0.5\ngamma = 0.5\nt1 = 0.7\n", 3, "repeated parameter 't1'"),
     ("# comment\nt1 = 0.5\nnonsense = 1\n", 3, "unknown parameter 'nonsense'"),
-], ids=["bad_value", "repeated_key", "unknown_key"])
+    # exp(800) overflows: scan wrote an all-nan field.csv and symmetry listed
+    # no holding spec, both with exit 0
+    ("gamma = 0.5\ngx = 800\n", 2, OVERFLOW),
+], ids=["bad_value", "repeated_key", "unknown_key", "overflow"])
 def test_cli_rejects_bad_params_file(tmp_path, capsys, command, text, lineno, message):
     assert PARAMS_COMMANDS == ["phases", "ribbon", "scan", "symmetry"]
     bad = tmp_path / "bad.txt"
@@ -490,6 +496,14 @@ def test_cli_phases_regime_error_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: phase_classify requires 0 < gamma < pi/2, got 0.0\n")
     assert not out.exists()
+
+
+def test_cli_phases_rejects_a_sweep_whose_boundaries_overflow(tmp_path, capsys):
+    # cosh(1000) overflows: phases wrote +-inf boundaries and labelled them
+    rc, path = run_phases(tmp_path, _TOPO, (-6.0, 6.0, 121, 0.0, 1000.0, 11, 1e-6), "big")
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {OVERFLOW}\n"
+    assert not path.parent.exists()
 
 
 def test_cli_phases_boundary_tol_must_be_finite_and_non_negative(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the lattice model: Bloch matrix, real space, phases, expansions."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import (match_eigenvalue_multisets, real_space_hamiltonian_loops,
                       weyl_dispersion)
-from nhdeg.model import (ModelParams, X1_POINTS, X2_POINTS, _d_components,
+from nhdeg.model import (ModelParams, X1_POINTS, X2_POINTS, _d_components, _hop_list,
                          bloch_hamiltonian, discriminant_function, dispersion,
                          linear_expansion, load_params, phase_boundaries,
                          phase_classify, quadratic_expansion,
@@ -128,6 +129,26 @@ def test_params_validation():
         ModelParams(t=0.0)
     with pytest.raises(ValueError):
         ModelParams(v=float("nan"))
+
+
+OVERFLOW = ("a hop amplitude or phase boundary is not finite "
+            "(an exp(+-g) factor or its product with t or t1 overflows)")
+
+
+@pytest.mark.parametrize("kw", [
+    {"gx": 800.0}, {"gy": -710.0}, {"t1": 0.75, "ga": 710.0},
+    # t1 = 0 leaves 0 * exp(711) = nan in the table and the boundaries
+    {"gb": -711.0}, {"t": 1e300, "gx": 700.0}, {"t1": 1e308},
+])
+def test_params_reject_non_finite_amplitudes_without_a_warning(kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(OVERFLOW)):
+            ModelParams(**kw)
+        # large but finite
+        p = ModelParams(t1=0.5, gx=700.0, ga=-700.0)
+    assert all(np.isfinite(amp) for *_, amp in _hop_list(p))
+    assert np.isfinite(phase_boundaries(p)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +541,9 @@ BAD_PARAM_FILES = {
     "repeated_key": ("t1 = 0.5\ngamma = 0.5\nt1 = 0.7\n", 3, "repeated parameter 't1'"),
     "unknown_key": ("# comment\nt1 = 0.5\nnonsense = 1\n", 3, "unknown parameter 'nonsense'"),
     "no_equals": ("\nt1 0.5\n", 2, "expected 'key = value'"),
+    "overflow": ("gamma = 0.5\ngx = 800\n", 2, OVERFLOW),
+    # each line alone is fine; the line that completes the product is named
+    "overflow_product": ("t = 1e300\nt1 = 0.5\ngx = 700\ngy = 0.1\n", 3, OVERFLOW),
 }
 
 

@@ -10,7 +10,7 @@ from nhdeg.model import (ModelParams, _k_grid, discriminant_function, dispersion
                          phase_boundaries)
 from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
                            _near_vertex_nodes, fermi_curves, find_degeneracies,
-                           fold_points, scan_discriminant, zero_curves)
+                           scan_discriminant, zero_curves)
 from nhdeg.symmetry import builtin_spec, pair_product_phase
 
 X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
@@ -132,8 +132,20 @@ def test_regime3_gamma_half_pi_gamma_points():
     assert len(res.nondefective) == 2
     for q in res.nondefective:
         assert nearest_target(q, g_targets) < 1e-6
-    folded = fold_points(res.nondefective)
+    folded = find_degeneracies(p, 301, 301, fold=True).nondefective
     assert len(folded) == 1
+
+
+def test_a_field_without_candidates_gives_an_empty_scan(monkeypatch):
+    # a nan field has no sign change and no local minimum, so no seed
+    p = ModelParams(gamma=0.5, gx=0.5, gy=0.3)
+    fld = scan_discriminant(p, 16, 16)
+    fld.values[:] = np.nan
+    monkeypatch.setattr(nhdeg.scanner, "scan_discriminant", lambda *args: fld)
+    for fold in (False, True):
+        res = find_degeneracies(p, 16, 16, fold=fold)
+        assert (res.points, res.n_candidates, res.n_dropped) == ([], 0, 0)
+        assert res.field is fld
 
 
 @pytest.mark.parametrize("fold", [False, True])
@@ -536,7 +548,12 @@ def same_polyline(a, b, tol=1e-12):
 
 
 def test_marching_squares_matches_per_cell_reference():
-    for fld in random_fields():
+    # the rounded fields (exact zeros and ties) also at extreme magnitudes:
+    # the reference guards va == vb and clips the edge fraction to [0, 1]
+    fields = list(random_fields())
+    scaled = [ScalarField(f.kx, f.ky, f.values * scale)
+              for f in fields[1::2] for scale in (1e300, 1e-300)]
+    for fld in fields + scaled:
         kx, ky, comp = padded(fld, fld.values.real)
         for level in (0.0, 1.0):
             ref = np.array(ref_marching_squares(kx, ky, comp - level, 0.0),

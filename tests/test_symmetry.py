@@ -271,6 +271,41 @@ def test_realspace_requires_even_nx():
         check_realspace(REGIME1, builtin_spec("upsilon"), 3, 4)
 
 
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 4), (4, 2), (6, 2), (3, 4), (0, 3)])
+def test_check_realspace_needs_an_even_nx_of_four_and_three_cells_in_y(nx, ny):
+    # on 2x2 the gamma = 0 coexistence recipe showed upsilon holding, though
+    # t1 breaks it
+    message = f"^check_realspace needs an even nx >= 4 and ny >= 3, got {nx}x{ny}$"
+    with pytest.raises(ValueError, match=message):
+        check_realspace(REGIME3_G0, builtin_spec("upsilon"), nx, ny)
+
+
+def test_check_realspace_four_by_three_decides_the_verdict():
+    # as for check_bloch, 3 momenta per axis decide each residual, so a 4x3
+    # torus gives the 8x8 verdict; the site-phase spec is built only where
+    # gamma is commensurate with both tori
+    rng = np.random.default_rng(13)
+    held, compared = set(), 0
+    for trial in range(80):
+        gamma = (0.0, np.pi / 2, np.pi, rng.uniform(-np.pi, np.pi))[trial % 4]
+        t1 = 0.0 if trial % 3 == 0 else rng.uniform(-1, 1)
+        v = 0.0 if trial % 3 < 2 else rng.uniform(-1, 1)
+        mu_a, mu_b = rng.uniform(-1, 1, 2) if trial % 2 else (0.0, 0.0)
+        p = ModelParams(t1=t1, v=v, gamma=gamma, gx=rng.uniform(-1, 1),
+                        gy=rng.uniform(-1, 1), ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1),
+                        mu_a=mu_a, mu_b=mu_b)
+        for name in BUILTIN_NAMES:
+            spec = builtin_spec(name)
+            if spec.site_phase and gamma not in (0.0, np.pi):
+                continue
+            verdict = check_realspace(p, spec, 8, 8).holds
+            assert check_realspace(p, spec, 4, 3).holds == verdict, (name, p)
+            held.update([name] if verdict else [])
+            compared += 1
+    assert held == set(BUILTIN_NAMES)
+    assert compared == 200
+
+
 def test_realspace_site_phase_commensurability():
     with pytest.raises(ValueError, match="incommensurate"):
         check_realspace(ModelParams(gamma=0.37),
