@@ -9,9 +9,9 @@ phases    sweep the staggered potential against the phase boundaries
 ribbon    ribbon spectra with localization metrics
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Machine
-output goes to files under --out, written only once every result is
-computed and checked, so a rejected input writes nothing; stdout carries a
-short human summary.
+output goes to files under --out, which ``serialize`` encodes and writes only
+once every result is computed and checked, so a rejected input writes
+nothing; stdout carries a short human summary.
 Identical configurations (including --seed) produce byte-identical files.
 """
 
@@ -21,7 +21,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -93,16 +92,17 @@ def cmd_scan(args) -> int:
     p = load_params(args.params)
     result = find_degeneracies(p, args.nx, args.ny, tol=args.tol, fold=args.fold_bz)
     payload = {
+        "params": p,
         "tol": args.tol,
         "nx": args.nx,
         "ny": args.ny,
         "fold_bz": args.fold_bz,
         "n_candidates": result.n_candidates,
         "n_dropped": result.n_dropped,
-        "points": [asdict(q) for q in result.points],
+        "points": result.points,
     }
     write_vector_field_csv(_outpath(args, "field.csv"), result.field)
-    write_json(_outpath(args, "degeneracies.json"), payload, params=p)
+    write_json(_outpath(args, "degeneracies.json"), payload)
     n_nd, n_d = len(result.nondefective), len(result.defective)
     print(f"scan: {n_nd} non-defective, {n_d} defective, "
           f"{len(result.unresolved)} unresolved "
@@ -113,13 +113,7 @@ def cmd_scan(args) -> int:
 def cmd_symmetry(args) -> int:
     p = load_params(args.params)
     survey = symmetry_survey(p, nx=args.nx, ny=args.ny)
-    payload = {
-        "eta_X1": survey["eta_X1"],
-        "eta_X2": survey["eta_X2"],
-        "holding": survey["holding"],
-        "reports": {name: asdict(rep) for name, rep in survey["reports"].items()},
-    }
-    write_json(_outpath(args, "symmetry.json"), payload, params=p)
+    write_json(_outpath(args, "symmetry.json"), {"params": p, **survey})
     print("symmetry: holding = " + (", ".join(survey["holding"]) or "none"))
     return 0
 
@@ -165,20 +159,19 @@ def cmd_ribbon(args) -> int:
     mid = bands[min([(d, i) for d, i in dist if 0 < 2 * d <= nk] or dist)[1]]
     order = np.argsort(np.abs(mid.eigenvalues))[:2]
     payload = {
+        "params": p,
         "axis": args.axis,
         "n_cells": args.n_cells,
         "zero_mode_check_k": args.zero_k,
         "zero_mode_overlap": zero.overlap,
         "zero_mode_absent": zero.absent,
-        "zero_mode_eigenvalues": list(zero.eigenvalues),
+        "zero_mode_eigenvalues": zero.eigenvalues,
         "skin_metric_k0": skin_metric(p, args.axis, skin_band),
-        "edge_mode_sides": {
-            str(int(n)): asdict(localization(mid.eigenvectors[:, int(n)], args.n_cells))
-            for n in order
-        },
+        "edge_mode_sides": {str(int(n)): localization(mid.eigenvectors[:, n], args.n_cells)
+                            for n in order},
     }
     write_band_csv(_outpath(args, "bands.csv"), bands, dump_vectors=args.dump_vectors)
-    write_json(_outpath(args, "localization.json"), payload, params=p)
+    write_json(_outpath(args, "localization.json"), payload)
     print(f"ribbon: {len(bands)} momenta, zero-mode overlap {zero.overlap:.6f} "
           f"at transverse k = {args.zero_k:.4f}")
     return 0

@@ -28,7 +28,6 @@ __all__ = [
     "Expansion",
     "X1_POINTS",
     "X2_POINTS",
-    "M_POINTS",
     "GAMMA_POINT",
     "bloch_hamiltonian",
     "dispersion",
@@ -45,7 +44,6 @@ __all__ = [
 # High-symmetry momenta on the square torus [-pi, pi)^2.
 X1_POINTS = ((np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2))
 X2_POINTS = ((np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2))
-M_POINTS = ((-np.pi, 0.0), (0.0, -np.pi))
 GAMMA_POINT = (0.0, 0.0)
 
 
@@ -121,11 +119,17 @@ def _hop_list(p: ModelParams):
         (0, 1, 0, 1, ay), (0, 1, 0, -1, ay),
         (1, 0, 1, 0, bx), (1, 0, -1, 0, bx),
         (1, 0, 0, 1, by), (1, 0, 0, -1, by),
-        # diagonal hops, alternating signs as printed
-        (0, 0, 1, 1, -t1 * np.exp(-p.ga)), (0, 0, 1, -1, t1 * np.exp(-p.ga)),
-        (0, 0, -1, -1, -t1 * np.exp(p.ga)), (0, 0, -1, 1, t1 * np.exp(p.ga)),
-        (1, 1, 1, 1, t1 * np.exp(-p.gb)), (1, 1, 1, -1, -t1 * np.exp(-p.gb)),
-        (1, 1, -1, -1, t1 * np.exp(p.gb)), (1, 1, -1, 1, -t1 * np.exp(p.gb)),
+    ]
+    if t1 != 0:
+        # diagonal hops, alternating signs as printed; at t1 = 0 there are
+        # none, and no 0 * exp(g) can overflow into nan
+        hops += [
+            (0, 0, 1, 1, -t1 * np.exp(-p.ga)), (0, 0, 1, -1, t1 * np.exp(-p.ga)),
+            (0, 0, -1, -1, -t1 * np.exp(p.ga)), (0, 0, -1, 1, t1 * np.exp(p.ga)),
+            (1, 1, 1, 1, t1 * np.exp(-p.gb)), (1, 1, 1, -1, -t1 * np.exp(-p.gb)),
+            (1, 1, -1, -1, t1 * np.exp(p.gb)), (1, 1, -1, 1, -t1 * np.exp(p.gb)),
+        ]
+    hops += [
         # staggered potential and optional imaginary onsite terms
         (0, 0, 0, 0, p.v + 1j * p.mu_a),
         (1, 1, 0, 0, -p.v - 1j * p.mu_b),
@@ -315,8 +319,12 @@ def phase_boundaries(p: ModelParams) -> tuple[float, float]:
 
 
 def _boundary(p: ModelParams):
-    """v2 = 2 t1 (cosh ga + cosh gb); ``ModelParams`` checks that it is finite."""
-    return 2.0 * p.t1 * (np.cosh(p.ga) + np.cosh(p.gb))
+    """v2 = 2 t1 (cosh ga + cosh gb); ``ModelParams`` checks that it is finite.
+
+    At t1 = 0 it is the signed zero 2 t1, and no cosh is formed that could
+    overflow into 0 * inf = nan.
+    """
+    return 2.0 * p.t1 * (np.cosh(p.ga) + np.cosh(p.gb)) if p.t1 != 0 else 2.0 * p.t1
 
 
 def phase_classify(p: ModelParams, tol: float = 1e-9) -> str:

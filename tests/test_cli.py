@@ -19,8 +19,8 @@ import nhdeg.cli
 from nhdeg.cli import build_parser, main
 from nhdeg.model import ModelParams, load_params, phase_boundaries, save_params
 from nhdeg.scanner import ScalarField, scan_discriminant
-from nhdeg.ribbon import RibbonBand
-from nhdeg.serialize import FORMAT, write_band_csv, write_vector_field_csv
+from nhdeg.ribbon import LocalizationReport, RibbonBand
+from nhdeg.serialize import FORMAT, write_band_csv, write_json, write_vector_field_csv
 
 
 @pytest.fixture
@@ -138,6 +138,27 @@ def test_band_csv_matches_row_writer(tmp_path, dump_vectors):
                 comps = ";".join(repr(float(abs(c))) for c in band.eigenvectors[:, n])
                 expected.append(f"# |psi| k={band.transverse_k!r} index={n}: {comps}\n")
     assert path.read_text() == "".join(expected)
+
+
+def test_write_json_encodes_complex_numbers_and_dataclass_records(tmp_path):
+    path = tmp_path / "doc.json"
+    rep = LocalizationReport(ipr=0.25, center_of_mass=1.5, side="left")
+    write_json(path, {"params": ModelParams(t1=0.5), "eigenvalues": (1.5 - 0.0j, -2j),
+                      "sides": {"3": rep}})
+    doc = json.loads(path.read_text())
+    assert doc == {"format": FORMAT, "toolkit_version": nhdeg.__version__,
+                   "params": asdict(ModelParams(t1=0.5)),
+                   "eigenvalues": [{"re": 1.5, "im": -0.0}, {"re": -0.0, "im": -2.0}],
+                   "sides": {"3": {"ipr": 0.25, "center_of_mass": 1.5, "side": "left"}}}
+    assert path.read_text().endswith("}\n")
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.ones(2), {1.5, 2.5}, ModelParams])
+def test_write_json_rejects_what_it_cannot_encode_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        write_json(path, {"ok": 1.0, "value": [value]})
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,7 @@ OVERFLOW = ("a hop amplitude or phase boundary is not finite "
 
 @pytest.mark.parametrize("kw", [
     {"gx": 800.0}, {"gy": -710.0}, {"t1": 0.75, "ga": 710.0},
-    # t1 = 0 leaves 0 * exp(711) = nan in the table and the boundaries
-    {"gb": -711.0}, {"t": 1e300, "gx": 700.0}, {"t1": 1e308},
+    {"t1": 0.75, "gb": -711.0}, {"t": 1e300, "gx": 700.0}, {"t1": 1e308},
 ])
 def test_params_reject_non_finite_amplitudes_without_a_warning(kw):
     with warnings.catch_warnings():
@@ -149,6 +148,17 @@ def test_params_reject_non_finite_amplitudes_without_a_warning(kw):
         p = ModelParams(t1=0.5, gx=700.0, ga=-700.0)
     assert all(np.isfinite(amp) for *_, amp in _hop_list(p))
     assert np.isfinite(phase_boundaries(p)).all()
+
+
+@pytest.mark.parametrize("kw", [{"gb": -711.0}, {"t1": 0.0, "ga": 711.0}])
+def test_params_accept_any_diagonal_nonreciprocity_without_diagonal_hops(kw):
+    # at t1 = 0 the table has no diagonal hop, so no exp(+-ga), exp(+-gb)
+    # or cosh is formed and nothing overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = ModelParams(**kw)
+        assert [repr(w) for w in phase_boundaries(p)] == ["-0.0", "0.0"]
+    assert [hop[:4] for hop in _hop_list(p)] == [hop[:4] for hop in _hop_list(ModelParams())]
 
 
 # ---------------------------------------------------------------------------

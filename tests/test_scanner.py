@@ -11,7 +11,7 @@ from nhdeg.model import (ModelParams, _k_grid, discriminant_function, dispersion
 from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
                            _near_vertex_nodes, fermi_curves, find_degeneracies,
                            scan_discriminant, zero_curves)
-from nhdeg.symmetry import builtin_spec, pair_product_phase
+from nhdeg.symmetry import _momentum_action, builtin_spec, pair_product_phase, symmetry_survey
 
 X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
              (-np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2)]
@@ -208,6 +208,35 @@ def test_regime2_boundary_recovers_x2_points():
     for q in res.nondefective:
         assert nearest_target(q, x2) < 1e-6
     assert not res.defective
+
+
+_TOPO = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
+CLOSURE_REGIMES = {
+    "pinned": ModelParams(gamma=0.5, gx=0.5, gy=0.3),
+    "gap_closure": _TOPO.replace(v=phase_boundaries(_TOPO)[1]),
+    "coexist_gamma0": _TOPO.replace(gamma=0.0),
+    "coexist_gamma_half_pi": _TOPO.replace(gamma=np.pi / 2),
+    "topological": _TOPO,
+    "coexist_v002": _TOPO.replace(gamma=0.0, v=0.02),
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_REGIMES)
+def test_scan_points_are_closed_under_their_symmetries(name):
+    # a self-consistency check: k -> -k and the momentum action of every
+    # holding composite symmetry (on k and on -k) map each found point onto
+    # a found point
+    p = CLOSURE_REGIMES[name]
+    found = np.array([(q.kx, q.ky) for q in find_degeneracies(p, 301, 301).points])
+    maps = [lambda kx, ky: (-kx, -ky)]
+    for spec_name in symmetry_survey(p)["holding"]:
+        spec = builtin_spec(spec_name)
+        maps += [lambda kx, ky, spec=spec: _momentum_action(spec, p, kx, ky),
+                 lambda kx, ky, spec=spec: _momentum_action(spec, p, -kx, -ky)]
+    for kx, ky in found:
+        for action in maps:
+            image = action(kx, ky)
+            assert min(torus_dist(image, q) for q in found) < 1e-6, (name, (kx, ky), image)
 
 
 COARSE = (41, 51, 61, 81, 101)

@@ -332,6 +332,20 @@ def test_defective_matrix_in_a_stack_fails_only_its_trial(monkeypatch):
     assert json.dumps(rep) == json.dumps(oracle)
 
 
+def test_negative_control_fails_every_defective_trial_that_is_not_rejected(monkeypatch):
+    # the failure path of --inject-defective: a theorem_report that accepts
+    # a Jordan block instead of raising must fail each trial, not pass
+    monkeypatch.setattr(nhdeg.theorem, "theorem_report",
+                        lambda H, lambda0=None: {"max_residuals": {}})
+    dims = (2, 3, 4, 5, 6, 7, 8)
+    rep = run_ensemble(dims=dims, trials=14, inject_defective=True)
+    assert rep["failures"] == [{"trial": t, "dim": dims[t % 7], "seed": t,
+                                "error": "defective input was not rejected"}
+                               for t in range(14)]
+    assert rep["rejected_defective"] == 0
+    assert rep["passed"] is False
+
+
 def test_ensemble_makes_one_eig_call_per_dimension(monkeypatch):
     calls = []
     eig = np.linalg.eig
