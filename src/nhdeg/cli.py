@@ -146,17 +146,20 @@ def cmd_phases(args) -> int:
 def cmd_ribbon(args) -> int:
     p = load_params(args.params)
     k_grid = _k_grid(args.k_samples)
-    # the zero-mode and skin momenta cost no solve when on the grid modulo pi
-    *bands, zero_band, skin_band = ribbon_spectrum(
-        p, args.axis, args.n_cells, k_values=[*k_grid.tolist(), args.zero_k, 0.0])
-    zero = obc_defective_check(zero_band)
     # the edge pair crosses at |k| = pi/2, where it can hybridize, so its sides
     # are read at the nearest grid momentum off the crossing but within pi/4
     # of it (the edge pair has left the gap by pi/2 away), else at the nearest
     # one, the first on a tie; d = ||4i - 2nk| - nk| is 4 ||k_i| - pi/2| / dk
     nk = args.k_samples
     dist = [(abs(abs(4 * i - 2 * nk) - nk), i) for i in range(nk)]
-    mid = bands[min([(d, i) for d, i in dist if 0 < 2 * d <= nk] or dist)[1]]
+    mid_i = min([(d, i) for d, i in dist if 0 < 2 * d <= nk] or dist)[1]
+    # the zero-mode and skin momenta cost no solve when on the grid modulo pi;
+    # only the mid, zero-mode and skin bands keep vectors unless all are dumped
+    *bands, zero_band, skin_band = ribbon_spectrum(
+        p, args.axis, args.n_cells, k_values=[*k_grid.tolist(), args.zero_k, 0.0],
+        keep_vectors=None if args.dump_vectors else (mid_i, nk, nk + 1))
+    zero = obc_defective_check(zero_band)
+    mid = bands[mid_i]
     order = np.argsort(np.abs(mid.eigenvalues))[:2]
     payload = {
         "params": p,
@@ -234,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--k-samples", type=_count, default=64)
     r.add_argument("--zero-k", type=_finite, default=np.pi / 2,
                    help="transverse momentum for the zero-mode pair check")
-    r.add_argument("--dump-vectors", action="store_true")
+    r.add_argument("--dump-vectors", action="store_true",
+                   help="append every band's |psi| to bands.csv; the sweep then holds "
+                        "k-samples x (2 n-cells)^2 complex numbers in memory")
     _add_common(r)
     return ap
 

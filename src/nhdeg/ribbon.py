@@ -27,6 +27,12 @@ to the process (the calling thread among them), while OpenBLAS is pinned
 to one thread.  Each solve is then single-threaded, so the bands do not
 depend on the number of CPUs or on ``OPENBLAS_NUM_THREADS``; a threaded
 solve rounds differently, and the conditioning above amplifies that.
+
+Bands of one solve share its eigenvalues and edge flags.  Eigenvectors
+are kept only for the bands the caller names (``keep_vectors``, all by
+default): each thread drops a solve's vectors once it has their edge
+flags, so a sweep holds one (2N)^2 solve per thread plus the kept bands,
+not one matrix per momentum.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import eigensystem_n
+from .linalg import MAX_DENSE_DIM, eigensystem_n
 from .model import ModelParams, _hop_list, _k_grid, dispersion, real_space_hamiltonian
 
 # Ribbon matrices in the skin-effect regimes are strongly non-normal and
@@ -97,12 +103,23 @@ class LocalizationReport:
 
 @dataclass
 class RibbonBand:
-    """Spectral data of a ribbon at one transverse momentum."""
+    """Spectral data of a ribbon at one transverse momentum.
+
+    ``eigenvectors`` is None when the sweep did not keep this band's
+    vectors (see ``ribbon_spectrum``'s ``keep_vectors``); the eigenvalues
+    and ``edge_flags`` are there either way.
+    """
 
     transverse_k: float
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     edge_flags: list
+
+    def vectors(self) -> np.ndarray:
+        """The eigenvectors; ValueError naming the momentum if they were dropped."""
+        if self.eigenvectors is None:
+            raise ValueError(f"no eigenvectors kept at transverse k = {self.transverse_k!r}")
+        return self.eigenvectors
 
 
 @dataclass
@@ -221,7 +238,8 @@ def _one_blas_thread():
                 set_(count)
 
 
-def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values) -> list:
+def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
+                    keep_vectors=None) -> list:
     """One band per transverse momentum of ``k_values``, in the given order.
 
     Eigenvalues per momentum are sorted ascending by real part (ties by
@@ -230,12 +248,26 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values) -> l
     Requested momenta that agree modulo pi (within 1e-12) share one dense
     solve, made at the first of them whose wrapped value lies in [0, pi);
     a momentum in [-pi, 0) without such a partner is solved directly.
-    Bands from one solve share its read-only arrays, except that a partner
-    across pi gets its own gauge-mapped eigenvectors.  The solves run in
-    parallel with OpenBLAS pinned to one thread (both in the module
-    docstring), so the bands do not depend on the number of CPUs.
+    Bands from one solve share its read-only eigenvalues.  ``keep_vectors``
+    holds the indices into ``k_values`` whose bands keep their eigenvectors
+    (None, the default, keeps all); the other bands carry
+    ``eigenvectors=None``.  A kept band shares the read-only vectors of its
+    solve, except that a partner across pi gets its own gauge-mapped copy;
+    no copy is made for a dropped one.  The solves run in parallel with
+    OpenBLAS pinned to one thread, and each drops its unkept vectors at
+    once (all in the module docstring), so the bands do not depend on the
+    number of CPUs and the memory not on the number of momenta.  A ribbon
+    wider than the dense solver's limit is rejected before any matrix is
+    built.
     """
+    if 2 * n_cells > MAX_DENSE_DIM:
+        raise ValueError(f"dense solver limited to dim <= {MAX_DENSE_DIM}, got {2 * n_cells}")
     ks = [float(k) for k in k_values]
+    keep = set(range(len(ks))) if keep_vectors is None else set(keep_vectors)
+    bad = keep - set(range(len(ks)))
+    if bad:
+        raise ValueError(f"keep_vectors index {next(iter(bad))!r} is out of range "
+                         f"for {len(ks)} momenta")
     wrapped = (np.array(ks) + np.pi) % (2 * np.pi) - np.pi
     lower = wrapped < 0
     rep = np.where(lower, wrapped + np.pi, wrapped)
@@ -250,6 +282,7 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values) -> l
         groups.append(order[start:stop])
         start = stop
     solves = [next((i for i in group if not lower[i]), group[0]) for group in groups]
+    kept = [not keep.isdisjoint(group.tolist()) for group in groups]
     # one slot per group, so the bands do not depend on the thread count
     results = [None] * len(groups)
 
@@ -259,7 +292,8 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values) -> l
             try:
                 es = eigensystem_n(ribbon_hamiltonian(p, open_axis, n_cells, ks[solves[g]]),
                                    want_left=False)
-                results[g] = es, _localize(es.right, n_cells)[2]
+                flags = _localize(es.right, n_cells)[2]
+                results[g] = es.eigenvalues, es.right if kept[g] else None, flags
             except BaseException as exc:
                 results[g] = exc
                 return
@@ -280,14 +314,14 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values) -> l
     for group, solve, result in zip(groups, solves, results):
         if isinstance(result, BaseException):
             raise result
-        es, flags = result
-        es.eigenvalues.flags.writeable = es.right.flags.writeable = False
+        lam, right, flags = result
+        lam.flags.writeable = False
         for i in group:
-            vecs = es.right
-            if lower[i] != lower[solve]:
-                vecs = u[:, None] * es.right
+            vecs = None
+            if i in keep:
+                vecs = right if lower[i] == lower[solve] else u[:, None] * right
                 vecs.flags.writeable = False
-            bands[i] = RibbonBand(transverse_k=ks[i], eigenvalues=es.eigenvalues,
+            bands[i] = RibbonBand(transverse_k=ks[i], eigenvalues=lam,
                                   eigenvectors=vecs, edge_flags=list(flags))
     return bands
 
@@ -332,8 +366,9 @@ def obc_defective_check(band: RibbonBand) -> ZeroModePairReport:
     i1, i2 = int(order[0]), int(order[1])
     pair = (complex(band.eigenvalues[i1]), complex(band.eigenvalues[i2]))
     absent = max(abs(pair[0]), abs(pair[1])) > _ZERO_WINDOW
-    v1 = band.eigenvectors[:, i1] / np.linalg.norm(band.eigenvectors[:, i1])
-    v2 = band.eigenvectors[:, i2] / np.linalg.norm(band.eigenvectors[:, i2])
+    vecs = band.vectors()
+    v1 = vecs[:, i1] / np.linalg.norm(vecs[:, i1])
+    v2 = vecs[:, i2] / np.linalg.norm(vecs[:, i2])
     overlap = float(min(abs(np.vdot(v1, v2)), 1.0))
     return ZeroModePairReport(eigenvalues=pair, overlap=overlap, absent=absent)
 
@@ -346,7 +381,8 @@ def skin_metric(p: ModelParams, open_axis: str, band: RibbonBand) -> float:
     boundary accumulation (the skin effect) pushes the mean far above that
     baseline.
     """
-    ipr = _localize(band.eigenvectors, band.eigenvectors.shape[0] // 2)[0]
+    vecs = band.vectors()
+    ipr = _localize(vecs, vecs.shape[0] // 2)[0]
     bulk = np.ones(ipr.size, dtype=bool)
     bulk[in_gap_indices(band, bulk_gap_interval(p, open_axis, band.transverse_k))] = False
     return float(np.mean(ipr[bulk]))

@@ -64,11 +64,16 @@ def write_vector_field_csv(path, field) -> None:
 
 
 def write_band_csv(path, bands, dump_vectors: bool = False) -> None:
-    """CSV export of ribbon bands: (k, index, re_e, im_e, edge_flag)."""
-    _write_csv(path, "k,index,re_e,im_e,edge_flag", _band_chunks(bands, dump_vectors))
+    """CSV export of ribbon bands: (k, index, re_e, im_e, edge_flag).
+
+    With ``dump_vectors`` every band must carry its eigenvectors; a band
+    without them raises before the file is opened.
+    """
+    vectors = [band.vectors() for band in bands] if dump_vectors else None
+    _write_csv(path, "k,index,re_e,im_e,edge_flag", _band_chunks(bands, vectors))
 
 
-def _band_chunks(bands, dump_vectors):
+def _band_chunks(bands, vectors):
     """The rows of each band, then the eigenvector dump as comment lines."""
     ks = [repr(band.transverse_k) for band in bands]
     for k, band in zip(ks, bands):
@@ -76,12 +81,11 @@ def _band_chunks(bands, dump_vectors):
                        in enumerate(zip(band.eigenvalues.real.tolist(),
                                         band.eigenvalues.imag.tolist(),
                                         band.edge_flags))])
-    if dump_vectors:
+    if vectors is not None:
         yield "# eigenvector dump\n"
-        for k, band in zip(ks, bands):
+        for k, vecs in zip(ks, vectors):
             # np.hypot rounds like the scalar abs(); np.abs of a complex
             # array can differ from it in the last bit
-            vecs = band.eigenvectors
             mags = np.hypot(vecs.real, vecs.imag).T.tolist()
             yield "".join([f"# |psi| k={k} index={n}: {';'.join(map(repr, col))}\n"
                            for n, col in enumerate(mags)])

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -654,6 +655,48 @@ def test_cli_ribbon(tmp_path, regime3_file):
     assert len(dump) == 6 * 32
     for ln in dump:
         assert all(math.isfinite(float(f)) for f in ln.split(": ", 1)[1].split(";"))
+
+
+@pytest.mark.parametrize("axis,gamma", [("y", 0.5), ("x", 0.0)])
+def test_cli_ribbon_dump_vectors_changes_no_other_output(tmp_path, axis, gamma):
+    pf = tmp_path / "p.txt"
+    save_params(ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=gamma), pf)
+    docs = []
+    for dump in ([], ["--dump-vectors"]):
+        out = tmp_path / f"out{len(dump)}"
+        assert main(["ribbon", "--params", str(pf), "--axis", axis, "--n-cells", "16",
+                     "--k-samples", "12", "--out", str(out), *dump]) == 0
+        rows = [ln for ln in (out / "bands.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        docs.append((rows, (out / "localization.json").read_bytes()))
+    assert len(docs[0][0]) == 1 + 12 * 32
+    assert docs[0] == docs[1]
+
+
+def test_cli_ribbon_memory_is_bounded_by_the_workers(tmp_path, monkeypatch):
+    # without --dump-vectors only the mid, zero-mode and skin bands keep
+    # their vectors, so the peak is a few (2N)^2 matrices per worker rather
+    # than two per solved momentum pair (about 71 of them here)
+    pf = tmp_path / "p.txt"
+    save_params(ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5), pf)
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
+    n = 40
+    tracemalloc.start()
+    try:
+        assert main(["ribbon", "--params", str(pf), "--axis", "y", "--n-cells", str(n),
+                     "--k-samples", "64", "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 16 * (2 * n) ** 2
+
+
+def test_cli_ribbon_too_wide_to_solve_writes_nothing(tmp_path, regime1_file, capsys):
+    out = tmp_path / "out"
+    assert main(["ribbon", "--params", str(regime1_file), "--n-cells", "1025",
+                 "--out", str(out)]) == 2
+    assert "dense solver limited to dim <= 2048, got 2050" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_determinism(tmp_path, regime1_file):

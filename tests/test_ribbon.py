@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nhdeg.ribbon
+from nhdeg.linalg import MAX_DENSE_DIM
 from nhdeg.model import ModelParams, _hop_list, _k_grid
 from nhdeg.ribbon import (_gauge_signs, _localize, bulk_gap_interval, in_gap_indices,
                           localization, obc_defective_check, ribbon_hamiltonian,
@@ -257,11 +258,73 @@ def test_one_solve_per_momentum_pair(monkeypatch):
         band = _band(P_TI, "x", 8, k)
         assert len(calls) == 1
         assert band.transverse_k == k
-    # momenta already on the grid modulo pi cost nothing extra
-    calls.clear()
+    # momenta already on the grid modulo pi cost nothing extra, and dropping
+    # vectors saves no solve
     grid = (-np.pi + 2 * np.pi * np.arange(8) / 8).tolist()
-    ribbon_spectrum(P_TI, "x", 8, k_values=grid + [np.pi / 2, 0.0, -np.pi / 2])
-    assert len(calls) == 4
+    for keep in (None, (), (0,), (2, 8, 9)):
+        calls.clear()
+        ribbon_spectrum(P_TI, "x", 8, k_values=grid + [np.pi / 2, 0.0, -np.pi / 2],
+                        keep_vectors=keep)
+        assert len(calls) == 4
+
+
+# index 0 (k = -pi) is mapped from 4 (k = 0); 2 and 10 (k = -pi/2) are mapped
+# from 6 (k = pi/2), which 9 shares; 8 (k = 1.0) is a solve of its own
+_KEEP_K = _k_grid(8).tolist() + [1.0, np.pi / 2, -np.pi / 2]
+
+
+@pytest.mark.parametrize("keep", [(), (0,), (4,), (0, 4), (2, 8, 10), range(11)])
+def test_kept_vectors_match_a_keep_all_sweep(keep):
+    n = 12
+    full = ribbon_spectrum(P_TI, "y", n, _KEEP_K)
+    bands = ribbon_spectrum(P_TI, "y", n, _KEEP_K, keep_vectors=keep)
+    for i, (band, ref) in enumerate(zip(bands, full)):
+        assert band.transverse_k == ref.transverse_k
+        assert np.array_equal(band.eigenvalues, ref.eigenvalues)
+        assert band.edge_flags == ref.edge_flags
+        if i in keep:
+            assert np.array_equal(band.eigenvectors, ref.eigenvectors)
+            assert not band.eigenvectors.flags.writeable
+        else:
+            assert band.eigenvectors is None
+
+
+@pytest.mark.parametrize("keep", [(11,), (0, -1), (3, 20)])
+def test_keep_vectors_out_of_range_is_rejected(keep):
+    with pytest.raises(ValueError, match="keep_vectors index .* out of range for 11 momenta"):
+        ribbon_spectrum(P_TI, "y", 12, _KEEP_K, keep_vectors=keep)
+
+
+def test_band_without_vectors_names_its_momentum(tmp_path):
+    band = ribbon_spectrum(P_TI, "y", 12, [0.0, 0.25], keep_vectors=(0,))[1]
+    for read in (obc_defective_check, lambda b: skin_metric(P_TI, "y", b)):
+        with pytest.raises(ValueError, match="no eigenvectors kept at transverse k = 0.25"):
+            read(band)
+    path = tmp_path / "bands.csv"
+    with pytest.raises(ValueError, match="no eigenvectors kept at transverse k = 0.25"):
+        write_band_csv(path, [band], dump_vectors=True)
+    assert not path.exists()
+    write_band_csv(path, [band])
+    assert len(path.read_text().splitlines()) == 2 + 24
+
+
+def test_oversized_ribbon_is_rejected_before_any_matrix_is_built(monkeypatch):
+    built = []
+
+    def builder(p, open_axis, n_cells, transverse_k):
+        built.append(n_cells)
+        raise LookupError("built")
+
+    monkeypatch.setattr(nhdeg.ribbon, "ribbon_hamiltonian", builder)
+    n = MAX_DENSE_DIM // 2
+    with pytest.raises(ValueError, match=f"dense solver limited to dim <= {MAX_DENSE_DIM}, "
+                                         f"got {2 * n + 2}"):
+        ribbon_spectrum(P_TI, "y", n + 1, [0.0])
+    assert built == []
+    # the widest allowed ribbon reaches the builder
+    with pytest.raises(LookupError):
+        ribbon_spectrum(P_TI, "y", n, [0.0])
+    assert built == [n]
 
 
 def test_singleton_momentum_is_a_direct_solve():
