@@ -31,19 +31,20 @@ from .scanner import scan_discriminant  # noqa: F401 (perfbench reads it)
 from .scanner import NEWTON_TOL, find_degeneracies
 from .serialize import write_band_csv, write_json, write_phases_csv, write_vector_field_csv
 from .symmetry import symmetry_survey
-from .theorem import RESIDUAL_BOUND, run_ensemble
+from .theorem import MAX_DIM, RESIDUAL_BOUND, run_ensemble
 
 __all__ = ["main"]
 
 
-def _count(text: str) -> int:
-    """Argument type of the count flags: a positive integer."""
+def _count(text: str, least: int = 1) -> int:
+    """Argument type of the integer flags: positive, or non-negative for ``least=0``."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        kind = "positive" if least > 0 else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
 
 
@@ -60,6 +61,7 @@ def _finite(text: str, least: float = -np.inf, strict: bool = False) -> float:
 
 
 _positive = functools.partial(_finite, least=0.0, strict=True)
+_seed = functools.partial(_count, least=0)
 
 
 def _add_common(sub):
@@ -190,11 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("theorem", help="verify the operator-pair construction")
     t.add_argument("--trials", type=_count, default=500)
     t.add_argument("--min-dim", type=int, default=2)
-    t.add_argument("--max-dim", type=int, default=8)
+    t.add_argument("--max-dim", type=int, default=8,
+                   help=f"largest matrix dimension, at most {MAX_DIM}")
     t.add_argument("--inject-defective", action="store_true",
                    help="feed Jordan blocks instead; expect rejection")
     t.add_argument("--tol", type=_positive, default=RESIDUAL_BOUND, help="residual bound")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     _add_common(t)
 
     s = sub.add_parser("scan", help="find and classify degeneracies")

@@ -47,12 +47,17 @@ __all__ = [
     "theorem_report",
     "run_ensemble",
     "RESIDUAL_BOUND",
+    "MAX_DIM",
 ]
 
 # eigenvalues closer than this times norm(H) form one cluster
 _CLUSTER_TOL = 1e-7
 # default bound on the ensemble's relative residuals
 RESIDUAL_BOUND = 1e-9
+# largest generated dimension: the generator redraws dim - 2 eigenvalues in
+# [-2, 2]^2 until all lie 0.1 apart, and a draw passes with a chance that
+# falls off like exp(-c dim^2) (milliseconds a matrix at 64, a minute at 112)
+MAX_DIM = 64
 # bound of DegenerateSubspace.validate, residuals relative to max(1, |H|)
 SUBSPACE_TOL = 1e-8
 
@@ -317,27 +322,25 @@ def random_degenerate_hamiltonian(dim: int, seed, lambda0=0.5 + 0.5j,
     seed keeps its own generator; the cond(S) test and the products run on
     the whole stack).
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in [2, {MAX_DIM}], got {dim}")
     seeds = np.asarray(seed)
     lam0 = np.broadcast_to(np.asarray(lambda0, dtype=complex), seeds.shape)
     if dim == 2 and not defective:
         return lam0[..., None, None] * np.eye(2, dtype=complex)
     rngs = [np.random.default_rng(s) for s in seeds.ravel().tolist()]
-    pair = np.repeat(lam0.reshape(-1, 1), 2, axis=1)
-    # every gap must reach 0.1, except the engineered pair's own (and the diagonal)
-    exempt = np.eye(dim) * 10
-    exempt[0, 1] = exempt[1, 0] = 10
+    lam0 = lam0.reshape(-1, 1)
 
     def spread(others, idx):
-        allv = np.concatenate([pair[idx], others], axis=1)
-        gaps = np.abs(allv[:, :, None] - allv[:, None, :]) + exempt
+        # every gap among lambda0 (once) and the others must reach 0.1
+        allv = np.concatenate([lam0[idx], others], axis=1)
+        gaps = np.abs(allv[:, :, None] - allv[:, None, :]) + np.eye(dim - 1) * 10
         return gaps.min(axis=(1, 2)) >= 0.1
 
     others = _draw_until(rngs, lambda rng: (rng.uniform(-2, 2, size=dim - 2)
                                             + 1j * rng.uniform(-2, 2, size=dim - 2)), spread)
     lam_block = np.zeros((len(rngs), dim, dim), dtype=complex)
-    lam_block[:, np.arange(dim), np.arange(dim)] = np.concatenate([pair, others], axis=1)
+    lam_block[:, np.arange(dim), np.arange(dim)] = np.concatenate([lam0, lam0, others], axis=1)
     if defective:
         lam_block[:, 0, 1] = 1.0
     S = _draw_until(rngs, lambda rng: (rng.normal(size=(dim, dim))
@@ -385,65 +388,54 @@ def run_ensemble(dims=(2, 3, 4, 5, 6, 7, 8), trials: int = 500, seed: int = 0,
 
     Trial t draws a degenerate matrix of dimension ``dims[t % len(dims)]``
     from seed ``seed + t``, with lambda0 drawn from ``seed + 7919 t``.  The
-    trials of one dimension are verified as one stack (one ``eig`` call per
-    dimension); the matrices and residuals equal those of one trial at a
+    trials are verified as one stack per distinct dimension (one ``eig``
+    call each); the matrices and residuals equal those of one trial at a
     time bit for bit.  If a stack raises, its trials are re-run one at a
     time, so every failure keeps its own trial number and message.
     Returns per-check maxima and a pass flag against ``bound`` (residuals
     are relative to |H|).  With ``inject_defective`` every matrix carries a
     Jordan block instead, and the report counts how many trials were
     correctly rejected.  Raises ``ValueError`` for fewer than one trial, no
-    dimensions or a dimension below 2, where there would be nothing to
-    verify, and for a bound that is not finite and positive.
+    dimensions or a dimension outside [2, MAX_DIM] (``MAX_DIM`` = 64 bounds
+    the generator), and for a bound that is not finite and positive.
     """
     dims = tuple(dims)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if not dims or min(dims) < 2:
-        raise ValueError(f"need one or more dimensions, each at least 2, got {dims}")
+    if not dims or min(dims) < 2 or max(dims) > MAX_DIM:
+        raise ValueError(f"need one or more dimensions, each in [2, {MAX_DIM}], got {dims}")
     if not 0 < bound < np.inf:
         raise ValueError(f"bound must be finite and positive, got {bound!r}")
     worst = {"intertwining": 0.0, "swap": 0.0, "orthogonality": 0.0,
              "product": 0.0, "eigenvalue_preservation": 0.0}
     failures = []
     rejected = 0
-
-    def verified(dim, group, rep):
-        if inject_defective:
-            failures.extend({"trial": t, "dim": dim, "seed": seed + t,
-                             "error": "defective input was not rejected"} for t in group)
-            return
-        for check, value in rep["max_residuals"].items():
-            worst[check] = max(worst[check], float(np.max(value)))
-
-    groups = {}
-    for trial in range(trials):
-        groups.setdefault(dims[trial % len(dims)], []).append(trial)
-    for dim, group in groups.items():
-        lam0 = []
-        for trial in group:
-            trial_rng = np.random.default_rng(seed + 7919 * trial)
-            lam0.append(complex(trial_rng.uniform(-1, 1), trial_rng.uniform(-1, 1)))
+    for dim in dict.fromkeys(dims[:trials]):
+        group = [t for t in range(trials) if dims[t % len(dims)] == dim]
+        lam0 = [complex(*np.random.default_rng(seed + 7919 * t).uniform(-1, 1, 2))
+                for t in group]
         H = random_degenerate_hamiltonian(dim, [seed + t for t in group], lam0,
                                           defective=inject_defective)
         try:
-            rep = theorem_report(H, lambda0=np.array(lam0))
+            reports = [(group, theorem_report(H, lambda0=np.array(lam0)))]
         except (ValueError, RuntimeError):
-            pass
-        else:
-            verified(dim, group, rep)
-            continue
-        for trial, Ht, lt in zip(group, H, lam0):
-            try:
-                rep = theorem_report(Ht, lambda0=lt)
-            except (ValueError, RuntimeError) as exc:
-                if inject_defective:
-                    rejected += 1
-                else:
-                    failures.append({"trial": trial, "dim": dim, "seed": seed + trial,
-                                     "error": str(exc)})
-                continue
-            verified(dim, [trial], rep)
+            reports = []
+            for trial, Ht, lt in zip(group, H, lam0):
+                try:
+                    reports.append(([trial], theorem_report(Ht, lambda0=lt)))
+                except (ValueError, RuntimeError) as exc:
+                    if inject_defective:
+                        rejected += 1
+                    else:
+                        failures.append({"trial": trial, "dim": dim, "seed": seed + trial,
+                                         "error": str(exc)})
+        for batch, rep in reports:
+            if inject_defective:
+                failures.extend({"trial": t, "dim": dim, "seed": seed + t,
+                                 "error": "defective input was not rejected"} for t in batch)
+            else:
+                for check, value in rep["max_residuals"].items():
+                    worst[check] = max(worst[check], float(np.max(value)))
     failures.sort(key=lambda f: f["trial"])
     passed = not failures and (inject_defective or max(worst.values()) <= bound)
     return {

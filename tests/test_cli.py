@@ -231,12 +231,36 @@ def test_cli_theorem_zero_trials(tmp_path, capsys):
     assert not (tmp_path / "theorem.json").exists()
 
 
-@pytest.mark.parametrize("dims", [("5", "3"), ("1", "3")])
+@pytest.mark.parametrize("dims", [("5", "3"), ("1", "3"), ("2", "65"), ("2049", "2049")])
 def test_cli_theorem_bad_dims(tmp_path, capsys, dims):
-    rc = main(["theorem", "--min-dim", dims[0], "--max-dim", dims[1],
-               "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(["theorem", "--min-dim", dims[0], "--max-dim", dims[1], "--out", str(out)])
     assert rc == 2
     assert "dimensions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_theorem_help_states_the_dimension_bound(capsys):
+    assert main(["theorem", "--help"]) == 0
+    assert "at most 64" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["-3", "1.5", "abc"])
+def test_cli_theorem_seed_must_be_a_non_negative_integer(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert main(["theorem", "--trials", "2", "--seed", seed, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --seed: expected a non-negative integer, got {seed!r}\n")
+    assert not out.exists()
+
+
+def test_cli_theorem_prints_the_first_failure_and_exits_1(tmp_path, capsys, monkeypatch):
+    failure = {"trial": 4, "dim": 3, "seed": 4, "error": "boom"}
+    report = dict(nhdeg.cli.run_ensemble(trials=2), passed=False, failures=[failure])
+    monkeypatch.setattr(nhdeg.cli, "run_ensemble", lambda **kw: report)
+    assert main(["theorem", "--trials", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.endswith(f"first failure: {failure}\n")
+    assert json.loads((tmp_path / "theorem.json").read_text())["failures"] == [failure]
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,7 +326,7 @@ def test_cli_parser_has_no_bare_float_type():
 
 
 @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
 def test_cli_float_flags_reject_non_finite(tmp_path, regime1_file, capsys, command, flag,
                                            value):
     params = [] if command == "theorem" else ["--params", str(regime1_file)]

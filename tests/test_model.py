@@ -471,6 +471,8 @@ def test_quadratic_expansion_preconditions():
         quadratic_expansion(ModelParams(t1=0.75, gamma=0.3), "M")
     with pytest.raises(ValueError):
         quadratic_expansion(ModelParams(t1=0.75, gamma=0.0), "Gamma")
+    with pytest.raises(ValueError, match="center must be 'M' or 'Gamma', got 'K'"):
+        quadratic_expansion(ModelParams(t1=0.75, gamma=0.0), "K")
 
 
 def test_quadratic_expansion_exact_at_center():

@@ -326,6 +326,13 @@ def test_zero_curves_constant_positive_field():
     assert not curve.everywhere_zero
 
 
+def test_zero_curves_rejects_an_unknown_component():
+    kx = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+    fld = ScalarField(kx=kx, ky=kx, values=np.ones((8, 8), dtype=complex))
+    with pytest.raises(ValueError, match="unknown component 'abs'"):
+        zero_curves(fld, "abs")
+
+
 def test_zero_curves_synthetic_cosine():
     # f = cos(kx): vertical contour lines at kx = +-pi/2
     n = 201

@@ -112,6 +112,21 @@ def test_extract_rejects_an_eigensystem_flagged_defective():
         extract_degenerate_subspace(H, lambda0=lam0)
 
 
+@pytest.mark.parametrize("dim", [1, 65, 2049])
+def test_dims_outside_the_generator_bound_raise_before_any_draw(monkeypatch, dim):
+    # the spread rule's acceptance falls off like exp(-c dim^2): dim 2049
+    # would redraw without end, so the bound is checked before any draw
+    def no_draw(*args):
+        raise AssertionError("drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=rf"dim must be in \[2, 64\], got {dim}$"):
+        random_degenerate_hamiltonian(dim, 0)
+    # every requested dimension counts, also one that no trial reaches
+    with pytest.raises(ValueError, match=r"each in \[2, 64\]"):
+        run_ensemble(dims=(2, dim), trials=1)
+
+
 def test_generator_deterministic():
     a = random_degenerate_hamiltonian(6, 42, 0.1j)
     b = random_degenerate_hamiltonian(6, 42, 0.1j)
@@ -169,6 +184,13 @@ def test_hermitian_reduction():
     np.testing.assert_allclose(ur.matrix_part, ul.matrix_part, atol=1e-9)
     res = verify_intertwining(H, ur, ul)
     assert max(res.values()) < 1e-10
+
+
+def test_intertwining_rejects_operators_of_another_dimension():
+    sub = extract_degenerate_subspace(random_degenerate_hamiltonian(3, 1, 0.5), lambda0=0.5)
+    ur, ul = make_upsilon_right(sub), make_upsilon_left(sub)
+    with pytest.raises(ValueError, match="operator and matrix dimensions differ"):
+        verify_intertwining(random_degenerate_hamiltonian(4, 1, 0.5), ur, ul)
 
 
 def test_intertwining_residual_linear_in_perturbation():
@@ -231,7 +253,7 @@ def test_ensemble_zero_trials():
         run_ensemble(trials=-2, seed=0)
 
 
-@pytest.mark.parametrize("dims", [(), range(5, 4), (1, 2), (2, 0)])
+@pytest.mark.parametrize("dims", [(), range(5, 4), (1, 2), (2, 0), (2, 65)])
 def test_ensemble_rejects_bad_dims(dims):
     with pytest.raises(ValueError, match="dimensions"):
         run_ensemble(dims=dims, trials=3)
@@ -245,7 +267,7 @@ def test_ensemble_rejects_a_bound_that_is_not_finite_and_positive(bound):
 
 @pytest.mark.parametrize("inject", [False, True])
 @pytest.mark.parametrize("seed", [0, 3, 5])
-@pytest.mark.parametrize("dims", [(2,), (3, 8), range(2, 9)])
+@pytest.mark.parametrize("dims", [(2,), (3, 8), range(2, 9), (3, 3, 5)])
 def test_ensemble_matches_the_per_trial_oracle(dims, seed, inject):
     kw = dict(dims=dims, trials=60, seed=seed, inject_defective=inject)
     assert json.dumps(run_ensemble(**kw)) == json.dumps(run_ensemble_loop(**kw))
