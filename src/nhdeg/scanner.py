@@ -51,6 +51,9 @@ _MAX_STEPS = 50
 # than the dedup radius, yet solver noise cannot move a point on a shared
 # line (kx = 0, or the seam kx = -pi ~ pi) across a step boundary
 _SORT_STEPS = 2 ** 20
+# eta is sampled in blocks of whole ky rows of about this many points, so the
+# (4, rows, nx) Pauli sums stay small beside the grid itself
+_BLOCK_POINTS = 2 ** 14
 
 _TWO_PI = 2.0 * np.pi
 
@@ -136,26 +139,34 @@ class ZeroCurve:
 
 
 def scan_discriminant(p: ModelParams, nx: int = 501, ny: int = 501) -> ScalarField:
-    """Sample the discriminant eta on an nx-by-ny grid over [-pi, pi)^2."""
+    """Sample the discriminant eta on an nx-by-ny grid over [-pi, pi)^2.
+
+    The grid is filled in blocks of max(1, ``_BLOCK_POINTS`` // nx) ky rows,
+    so the working arrays scale with one block, not with the grid.  Each
+    element takes the same operations as in one call over the whole grid,
+    so the values are bit-identical to it.
+    """
     if nx < 16 or ny < 16:
         raise ValueError("need nx, ny >= 16")
     kx, ky = _k_grid(nx), _k_grid(ny)
-    values = discriminant_function(p, kx[None, :], ky[:, None])
-    return ScalarField(kx=kx, ky=ky, values=np.asarray(values, dtype=complex))
+    values = np.empty((ny, nx), dtype=complex)
+    rows = max(1, _BLOCK_POINTS // nx)
+    for i in range(0, ny, rows):
+        values[i:i + rows] = discriminant_function(p, kx[None, :], ky[i:i + rows, None])
+    return ScalarField(kx=kx, ky=ky, values=values)
 
 
 def _sign_change_cells(values: np.ndarray) -> np.ndarray:
     """Cells (iy, ix) whose corners change sign in Re and in Im (torus wrap)."""
-    corners = np.stack([values,
-                        np.roll(values, -1, axis=1),
-                        np.roll(values, -1, axis=0),
-                        np.roll(np.roll(values, -1, axis=0), -1, axis=1)])
-
+    # corner min and max pairwise: the right neighbour, then the row below;
+    # np.minimum and np.maximum propagate NaN, so a NaN corner never counts
     def changes(comp):
-        return (comp.min(axis=0) <= 0.0) & (comp.max(axis=0) >= 0.0)
+        lo = np.minimum(comp, np.roll(comp, -1, axis=1))
+        hi = np.maximum(comp, np.roll(comp, -1, axis=1))
+        return ((np.minimum(lo, np.roll(lo, -1, axis=0)) <= 0.0)
+                & (np.maximum(hi, np.roll(hi, -1, axis=0)) >= 0.0))
 
-    mask = changes(corners.real) & changes(corners.imag)
-    return np.argwhere(mask)
+    return np.argwhere(changes(values.real) & changes(values.imag))
 
 
 def _local_minima(absval: np.ndarray, threshold: float) -> np.ndarray:

@@ -55,12 +55,12 @@ def _write_csv(path, header: str, chunks) -> None:
 
 
 def write_vector_field_csv(path, field) -> None:
-    """CSV export of a discriminant field, row-major with ky outer."""
+    """CSV export of a discriminant field, row-major with ky outer, one row at a time."""
     kx = [repr(x) for x in field.kx.tolist()]
     _write_csv(path, "kx,ky,re_eta,im_eta", (
-        "".join([f"{x},{y},{re!r},{im!r}\n" for x, re, im in zip(kx, re_row, im_row)])
-        for y, re_row, im_row in zip(map(repr, field.ky.tolist()),
-                                     field.values.real.tolist(), field.values.imag.tolist())))
+        "".join([f"{x},{y},{re!r},{im!r}\n"
+                 for x, re, im in zip(kx, row.real.tolist(), row.imag.tolist())])
+        for y, row in zip(map(repr, field.ky.tolist()), field.values)))
 
 
 def write_band_csv(path, bands, dump_vectors: bool = False) -> None:

@@ -298,3 +298,16 @@ def local_minima_rolls(absval, threshold):
                 continue
             m &= absval <= np.roll(np.roll(absval, dy, axis=0), dx, axis=1)
     return np.argwhere(m & (absval < threshold))
+
+
+def sign_change_cells_stacked(values):
+    """Stacked-corner form of ``scanner._sign_change_cells`` (byte oracle)."""
+    corners = np.stack([values,
+                        np.roll(values, -1, axis=1),
+                        np.roll(values, -1, axis=0),
+                        np.roll(np.roll(values, -1, axis=0), -1, axis=1)])
+
+    def changes(comp):
+        return (comp.min(axis=0) <= 0.0) & (comp.max(axis=0) >= 0.0)
+
+    return np.argwhere(changes(corners.real) & changes(corners.imag))

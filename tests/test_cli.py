@@ -101,13 +101,16 @@ def test_vector_field_csv_matches_row_writer(tmp_path):
     values = (rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-300, 300, (5, 7))
               + 1j * rng.standard_normal((5, 7)))
     values[0, :3] = [0.0, -0.0, complex(-0.0, -0.0)]
-    fld = ScalarField(kx=kx, ky=ky, values=values)
-    path = tmp_path / "field.csv"
-    write_vector_field_csv(path, fld)
     expected = f"# format={FORMAT}\nkx,ky,re_eta,im_eta\n" + "".join(
         f"{float(kx[ix])!r},{float(ky[iy])!r},{float(values[iy, ix].real)!r},"
         f"{float(values[iy, ix].imag)!r}\n" for iy in range(5) for ix in range(7))
-    assert path.read_text() == expected
+    # the same values as a transposed view, whose rows are strided
+    transposed = np.ascontiguousarray(values.T).T
+    assert not transposed.flags.c_contiguous
+    for grid in (values, transposed):
+        path = tmp_path / "field.csv"
+        write_vector_field_csv(path, ScalarField(kx=kx, ky=ky, values=grid))
+        assert path.read_text() == expected
 
 
 @pytest.mark.parametrize("dump_vectors", [False, True])
@@ -713,6 +716,23 @@ def test_cli_ribbon_memory_is_bounded_by_the_workers(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 16 * (2 * n) ** 2
+
+
+def test_cli_scan_memory_is_bounded_by_the_field(tmp_path):
+    # eta is sampled in row blocks, the seeds come from one real component
+    # at a time and field.csv is written row by row, so the peak is a few
+    # copies of the complex eta grid rather than eight
+    pf = tmp_path / "p.txt"
+    save_params(ModelParams(t1=0.75, ga=0.5, gb=0.3), pf)
+    n = 401
+    tracemalloc.start()
+    try:
+        assert main(["scan", "--params", str(pf), "--nx", str(n), "--ny", str(n),
+                     "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * n ** 2
 
 
 def test_cli_ribbon_too_wide_to_solve_writes_nothing(tmp_path, regime1_file, capsys):

@@ -1,5 +1,7 @@
 """Tests for the dense complex eigensystem routines."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,26 @@ def test_stacked_solve_matches_single_solves_bitwise():
 def test_non_square_input_raises(shape):
     with pytest.raises(ValueError, match="expected a square matrix"):
         eigensystem_n(np.zeros(shape))
+
+
+@pytest.mark.parametrize("want_left", [True, False])
+def test_wrong_eigenpair_raises_the_residual_error(monkeypatch, want_left):
+    # a solver that pairs the eigenvector of 1 with 1.5 leaves a residual of
+    # 0.5 against the bound 1e-9 * |diag(1, 2)|; in a stack the entry is named
+    eig = np.linalg.eig
+
+    def wrong(H):
+        lam, R = eig(H)
+        lam.flat[-lam.shape[-1]] += 0.5  # the first eigenvalue of the last matrix
+        return lam, R
+
+    monkeypatch.setattr(np.linalg, "eig", wrong)
+    H = np.diag([1.0, 2.0])
+    message = "eigensolver residual 5.000e-01 exceeds 1.0e-09 * |H| = 2.236e-09"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        eigensystem_n(H, want_left=want_left)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)} \\(stack entry 1\\)$"):
+        eigensystem_n(np.stack([H, H]), want_left=want_left)
 
 
 def test_eigensystem_n_dimension_cap():

@@ -439,24 +439,38 @@ def test_failed_solve_restores_the_blas_thread_count_and_raises(monkeypatch):
 
 def test_without_blas_calls_the_sweep_is_serial(monkeypatch):
     # no thread setter: every solve runs on the calling thread, as direct
-    # solves there would
+    # solves there would.  The lookup finds none in a process without
+    # OpenBLAS, without /proc/self/maps, or when no library can be opened
     threads = []
-    solve = nhdeg.ribbon.eigensystem_n
+    solve, lookup = nhdeg.ribbon.eigensystem_n, nhdeg.ribbon._blas_thread_calls
 
     def recording(H, **kw):
         threads.append(threading.current_thread())
         return solve(H, **kw)
 
-    monkeypatch.setattr(nhdeg.ribbon, "_blas_thread_calls", lambda: ())
+    def missing(path, *args, **kw):
+        raise FileNotFoundError(2, "No such file or directory", path)
+
     monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
     monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", recording)
     n = 12
-    bands = ribbon_spectrum(P_TI, "y", n, _k_grid(8))
-    assert threads == [threading.main_thread()] * 4
-    for band in bands[4:]:
-        es = solve(ribbon_hamiltonian(P_TI, "y", n, band.transverse_k), want_left=False)
-        assert np.array_equal(band.eigenvalues, es.eigenvalues)
-        assert np.array_equal(band.eigenvectors, es.right)
+    for target, name, fake in [(nhdeg.ribbon, "_blas_thread_calls", lambda: ()),
+                               (nhdeg.ribbon, "open", missing),
+                               (nhdeg.ribbon.ctypes, "CDLL", missing)]:
+        threads.clear()
+        with monkeypatch.context() as m:
+            m.setattr(target, name, fake, raising=False)
+            lookup.cache_clear()
+            try:
+                assert nhdeg.ribbon._blas_thread_calls() == ()
+                bands = ribbon_spectrum(P_TI, "y", n, _k_grid(8))
+            finally:
+                lookup.cache_clear()
+        assert threads == [threading.main_thread()] * 4, name
+        for band in bands[4:]:
+            es = solve(ribbon_hamiltonian(P_TI, "y", n, band.transverse_k), want_left=False)
+            assert np.array_equal(band.eigenvalues, es.eigenvalues)
+            assert np.array_equal(band.eigenvectors, es.right)
 
 
 def test_concurrent_sweeps_under_thread_stress(monkeypatch):

@@ -5,12 +5,12 @@ import pytest
 from scipy.spatial import cKDTree
 
 import nhdeg.scanner
-from _oracles import local_minima_rolls, near_vertex_nodes_loops
+from _oracles import local_minima_rolls, near_vertex_nodes_loops, sign_change_cells_stacked
 from nhdeg.model import (ModelParams, _k_grid, discriminant_function, dispersion,
                          phase_boundaries)
 from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
-                           _near_vertex_nodes, fermi_curves, find_degeneracies,
-                           scan_discriminant, zero_curves)
+                           _near_vertex_nodes, _sign_change_cells, fermi_curves,
+                           find_degeneracies, scan_discriminant, zero_curves)
 from nhdeg.symmetry import _momentum_action, builtin_spec, pair_product_phase, symmetry_survey
 
 X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
@@ -42,6 +42,25 @@ def test_scan_grid_layout():
 def test_scan_minimum_size():
     with pytest.raises(ValueError):
         scan_discriminant(ModelParams(), 8, 8)
+
+
+@pytest.mark.parametrize("budget,nx,ny", [
+    (None, 121, 121),   # the default budget: one block
+    (None, 16, 2000),   # the default budget over many rows
+    (48, 16, 37),       # 3-row blocks; 37 rows leave a 1-row tail
+    (10, 17, 20),       # a budget below nx: one row per block
+    (16 * 23, 16, 23),  # exactly one full block
+])
+def test_scan_blocks_match_one_call(monkeypatch, budget, nx, ny):
+    if budget is not None:
+        monkeypatch.setattr(nhdeg.scanner, "_BLOCK_POINTS", budget)
+    for p in (ModelParams(t1=0.75, ga=0.5, gb=0.3), ModelParams(gamma=0.5, gx=0.5, gy=0.3),
+              ModelParams(t1=0.3, v=0.4, gamma=0.7, mu_a=0.2)):
+        fld = scan_discriminant(p, nx, ny)
+        kx, ky = _k_grid(nx), _k_grid(ny)
+        want = np.asarray(discriminant_function(p, kx[None, :], ky[:, None]), dtype=complex)
+        assert fld.values.shape == want.shape == (ny, nx)
+        assert fld.values.tobytes() == want.tobytes()
 
 
 def test_hermitian_field_is_real():
@@ -763,3 +782,28 @@ def test_local_minima_matches_roll_oracle():
             want = local_minima_rolls(absval, threshold)
             assert got.shape == want.shape and np.array_equal(got, want), (
                 absval.shape, threshold)
+
+
+def sign_change_fields(rng):
+    for shape in ((1, 1), (1, 9), (9, 1), (2, 2), (2, 7), (16, 16), (33, 20)):
+        noise = rng.standard_normal(shape)
+        ties = np.round(noise)                                # ties and exact zeros
+        signed_zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        zeros = np.where(np.abs(noise) < 0.7, signed_zeros, noise)  # +-0 regions
+        holes = noise.copy()
+        holes.flat[rng.integers(0, holes.size, max(1, holes.size // 10))] = np.nan
+        holes.flat[rng.integers(0, holes.size, max(1, holes.size // 10))] = -np.inf
+        parts = (noise, ties, zeros, holes, signed_zeros, np.zeros(shape))
+        for re in parts:
+            for im in parts:
+                values = np.empty(shape, dtype=complex)
+                values.real, values.imag = re, im  # no arithmetic: keeps -0.0
+                yield values
+
+
+def test_sign_change_cells_match_stacked_oracle():
+    rng = np.random.default_rng(17)
+    for values in sign_change_fields(rng):
+        got = _sign_change_cells(values)
+        want = sign_change_cells_stacked(values)
+        assert got.shape == want.shape and np.array_equal(got, want), values.shape

@@ -112,6 +112,28 @@ def test_extract_rejects_an_eigensystem_flagged_defective():
         extract_degenerate_subspace(H, lambda0=lam0)
 
 
+def test_extract_rejects_a_singular_gram_matrix(monkeypatch):
+    # a solver that gives the pair of the last matrix one left vector twice:
+    # the eigensystem is not flagged defective, but the Gram matrix of the
+    # pair has rank one; in a stack the entry is named
+    solve = nhdeg.theorem.eigensystem_n
+
+    def one_left(H, **kw):
+        es = solve(H, **kw)
+        last = es.left[(-1,) * (es.left.ndim - 2)]  # a view of the last matrix
+        last[:, 1] = last[:, 0]
+        return es
+
+    monkeypatch.setattr(nhdeg.theorem, "eigensystem_n", one_left)
+    H = np.diag([1.0, 1.0, 2.0]).astype(complex)
+    message = (r"^degenerate pair is defective: Gram matrix is singular "
+               r"\(singular values array\(\[1\.41421356, 0\. *\]\)\)")
+    with pytest.raises(ValueError, match=message + "$"):
+        extract_degenerate_subspace(H)
+    with pytest.raises(ValueError, match=message + r" \(stack entry 1\)$"):
+        extract_degenerate_subspace(np.stack([H, H]))
+
+
 @pytest.mark.parametrize("dim", [1, 65, 2049])
 def test_dims_outside_the_generator_bound_raise_before_any_draw(monkeypatch, dim):
     # the spread rule's acceptance falls off like exp(-c dim^2): dim 2049
