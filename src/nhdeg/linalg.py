@@ -108,8 +108,8 @@ def eigensystem_n(H, want_left: bool = True) -> Eigensystem:
     ``RESIDUAL_TOL * max(1, norm(H))``; for a stack, the first is named.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2] or H.shape[-1] == 0:
+        raise ValueError(f"expected a square matrix of size >= 1, got shape {H.shape}")
     if not np.isfinite(H).all():  # both parts of every entry, any memory order
         raise ValueError("matrix entries must be finite")
     dim = H.shape[-1]

@@ -123,12 +123,13 @@ class ScanResult:
 class ZeroCurve:
     """Zero-level contours of a sampled real field.
 
-    ``polylines`` is a list of (m, 2) arrays of (kx, ky) vertices; segments
-    join exactly when they end on the same grid edge, so curves that touch
-    at a grid point stay apart, and a closed loop repeats its first vertex.
-    When the field vanishes identically on the grid, ``everywhere_zero`` is
-    set and no polylines are extracted.  ``point_zeros`` lists isolated grid
-    minima below the detection threshold that no contour passes through
+    ``polylines`` is a list of (m, 2) arrays of (kx, ky) vertices in [-pi,
+    pi]; segments join exactly when they end on the same torus grid edge, so
+    curves that touch at a grid point stay apart, a curve that crosses the
+    seam stays whole, and a closed loop repeats its first vertex.  When the
+    field vanishes identically on the grid, ``everywhere_zero`` is set and no
+    polylines are extracted.  ``point_zeros`` lists isolated grid minima
+    below the detection threshold that no contour passes near on the torus
     (even-order zeros such as non-defective touchings).
     """
 
@@ -332,13 +333,16 @@ _EDGE_BASE = np.array([0, 1, 3, 0])
 
 
 def _marching_squares(kx, ky, values):
-    """Zero-level segments with linear edge interpolation (non-wrapping).
+    """Zero-level segments of a periodic field, traced on the torus.
 
-    Returns the (m, 2, 2) segment endpoints in row-major cell order and the
-    (m, 2) ids of the grid edges they lie on; only the cells whose corners
-    straddle zero are interpolated.
+    The field is padded with its wrapped first column and row (at k[0] + 2 pi)
+    so the seam cells are traced too.  Returns the (m, 2, 2) segment endpoints
+    in row-major cell order and the (m, 2) ids of their edges of the torus
+    grid; only the cells whose corners straddle zero are interpolated.
     """
     ny, nx = values.shape
+    kx, ky = np.append(kx, kx[0] + _TWO_PI), np.append(ky, ky[0] + _TWO_PI)
+    values = np.pad(values, ((0, 1), (0, 1)), mode="wrap")
     above = (values > 0.0).astype(np.uint8)
     code = (above[:-1, :-1] | above[:-1, 1:] << 1
             | above[1:, 1:] << 2 | above[1:, :-1] << 3)
@@ -363,8 +367,8 @@ def _marching_squares(kx, ky, values):
     ya, yb = ky[jy + _CORNER_DY[a]], ky[jy + _CORNER_DY[b]]
     points = np.stack([xa + frac * (xb - xa), ya + frac * (yb - ya)], axis=-1)
     base = _EDGE_BASE[e]
-    edges = 2 * ((jy + _CORNER_DY[base]) * nx + jx + _CORNER_DX[base]) + e % 2
-    return points, edges
+    row, col = (jy + _CORNER_DY[base]) % ny, (jx + _CORNER_DX[base]) % nx
+    return points, 2 * (row * nx + col) + e % 2
 
 
 def _stitch(points, edges):
@@ -400,7 +404,7 @@ def _stitch(points, edges):
 
 
 def zero_curves(fld: ScalarField, which: str) -> ZeroCurve:
-    """Extract the zero-level contours of one real component of a field.
+    """Zero-level contours, on the torus, of one real component of a field.
 
     ``which`` selects 'Re_eta' or 'Im_eta' of a discriminant field, or
     'field' for a real one; for a level c, pass the field minus c.  An
@@ -420,14 +424,10 @@ def zero_curves(fld: ScalarField, which: str) -> ZeroCurve:
     scale = float(np.abs(comp).max())
     if scale < 1e-12:
         return ZeroCurve(which=which, polylines=[], everywhere_zero=True)
-    # append the wrapped first column and row so the cells that straddle the
-    # seam are traced too; a curve that crosses the seam stays split there
-    kx, ky = np.append(fld.kx, np.pi), np.append(fld.ky, np.pi)
-    comp_ext = np.pad(comp, ((0, 1), (0, 1)), mode="wrap")
-    polylines = _stitch(*_marching_squares(kx, ky, comp_ext))
+    polylines = _stitch(*_marching_squares(fld.kx, fld.ky, comp))
     dk = max(fld.kx[1] - fld.kx[0], fld.ky[1] - fld.ky[0])
     # isolated even-order zeros leave no sign change; report the grid minima
-    # at least two cells away from every traced vertex
+    # at least two cells (torus distance) from every traced vertex
     iy, ix = _local_minima(np.abs(comp), threshold=1e-6 * max(1.0, scale)).T
     if polylines:
         keep = ~_near_vertex_nodes(fld.kx, fld.ky, np.vstack(polylines), 2 * dk)[iy, ix]
@@ -438,28 +438,28 @@ def zero_curves(fld: ScalarField, which: str) -> ZeroCurve:
 
 
 def _near_vertex_nodes(kx, ky, vertices, radius):
-    """Mask of the grid nodes closer than ``radius`` (planar) to a vertex.
+    """Mask of the grid nodes closer than ``radius`` (on the torus) to a vertex.
 
-    Each vertex is binned to its grid cell and only the nodes within
-    ceil(radius / dk) + 1 cells of it are measured, all window offsets of
-    all vertices in one pass.  Time and memory are linear in the number of
-    vertices: at radius 2 dk the transient arrays take about 2 kB per
-    vertex (a tracemalloc peak of 0.7 MB for 266 vertices on 121^2 and
-    8.6 MB for 4 008 on 1001^2).
+    Each vertex in [-pi, pi] is binned to its grid cell and only the nodes
+    within w = ceil(radius / dk) + 1 cells of it are measured, all window
+    offsets of all vertices in one pass, on each axis unrolled by w: node j
+    in [-w, n + w] sits at k[j % n] + 2 pi (j // n).  Time and memory are
+    linear in the number of vertices (about 2 kB per vertex at 2 dk).
     """
+    def unrolled(k, w):
+        j = np.arange(-w, len(k) + w + 1)
+        return k[j % len(k)] + _TWO_PI * (j // len(k))
+
     dkx, dky = kx[1] - kx[0], ky[1] - ky[0]
     wx, wy = int(np.ceil(radius / dkx)) + 1, int(np.ceil(radius / dky)) + 1
     vx, vy = vertices[:, :1], vertices[:, 1:]
     oy, ox = np.mgrid[-wy:wy + 1, -wx:wx + 1].reshape(2, 1, -1)
-    jx = np.floor((vx - kx[0]) / dkx).astype(int) + ox  # (vertex, offset)
-    jy = np.floor((vy - ky[0]) / dky).astype(int) + oy
-    inside = (jx >= 0) & (jx < len(kx)) & (jy >= 0) & (jy < len(ky))
-    jx, jy = jx[inside], jy[inside]
-    dx = np.broadcast_to(vx, inside.shape)[inside] - kx[jx]
-    dy = np.broadcast_to(vy, inside.shape)[inside] - ky[jy]
+    jx = np.floor((vx - kx[0]) / dkx).astype(int) + (ox + wx)  # (vertex, offset)
+    jy = np.floor((vy - ky[0]) / dky).astype(int) + (oy + wy)
+    dx, dy = vx - unrolled(kx, wx)[jx], vy - unrolled(ky, wy)[jy]
     near = np.sqrt(dx * dx + dy * dy) < radius
     mask = np.zeros((len(ky), len(kx)), dtype=bool)
-    mask[jy[near], jx[near]] = True
+    mask[(jy[near] - wy) % len(ky), (jx[near] - wx) % len(kx)] = True
     return mask
 
 

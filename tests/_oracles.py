@@ -271,19 +271,25 @@ def phases_csv_loop(p, v_min, v_max, v_steps, g_min, g_max, g_steps, tol):
 
 
 def near_vertex_nodes_loops(kx, ky, vertices, radius):
-    """One-window-offset-at-a-time form of ``scanner._near_vertex_nodes`` (byte oracle)."""
+    """One-window-offset-at-a-time form of ``scanner._near_vertex_nodes`` (byte oracle).
+
+    Each window node is measured at its nearest image: on each axis, the
+    least distance over its images shifted by -2 pi, 0 and 2 pi.
+    """
     dkx, dky = kx[1] - kx[0], ky[1] - ky[0]
     wx, wy = int(np.ceil(radius / dkx)) + 1, int(np.ceil(radius / dky)) + 1
     vx, vy = vertices[:, 0], vertices[:, 1]
     cx = np.floor((vx - kx[0]) / dkx).astype(int)
     cy = np.floor((vy - ky[0]) / dky).astype(int)
+    def nearest(v, k):
+        below, above = np.abs(v - (k - 2 * np.pi)), np.abs(v - (k + 2 * np.pi))
+        return np.minimum(np.abs(v - k), np.minimum(below, above))
+
     mask = np.zeros((len(ky), len(kx)), dtype=bool)
     for oy in range(-wy, wy + 1):
         for ox in range(-wx, wx + 1):
-            jx, jy = cx + ox, cy + oy
-            inside = (jx >= 0) & (jx < len(kx)) & (jy >= 0) & (jy < len(ky))
-            jx, jy = jx[inside], jy[inside]
-            dx, dy = vx[inside] - kx[jx], vy[inside] - ky[jy]
+            jx, jy = (cx + ox) % len(kx), (cy + oy) % len(ky)
+            dx, dy = nearest(vx, kx[jx]), nearest(vy, ky[jy])
             near = np.sqrt(dx * dx + dy * dy) < radius
             mask[jy[near], jx[near]] = True
     return mask

@@ -158,6 +158,15 @@ def test_non_square_input_raises(shape):
         eigensystem_n(np.zeros(shape))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+@pytest.mark.parametrize("want_left", [True, False])
+def test_empty_matrix_raises_the_shape_error(shape, want_left):
+    # numpy's own error was a zero-size reduction deep inside the solve
+    message = f"expected a square matrix of size >= 1, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        eigensystem_n(np.zeros(shape), want_left=want_left)
+
+
 @pytest.mark.parametrize("want_left", [True, False])
 def test_wrong_eigenpair_raises_the_residual_error(monkeypatch, want_left):
     # a solver that pairs the eigenvector of 1 with 1.5 leaves a residual of

@@ -1,5 +1,7 @@
 """Tests for the Brillouin-zone degeneracy scanner and contour extraction."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -17,8 +19,13 @@ X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
              (-np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2)]
 
 
+def wrapped(d):
+    """Coordinate differences reduced to their nearest image, in [-pi, pi)."""
+    return (np.asarray(d) + np.pi) % (2 * np.pi) - np.pi
+
+
 def torus_dist(a, b):
-    d = np.abs((np.asarray(a) - np.asarray(b) + np.pi) % (2 * np.pi) - np.pi)
+    d = np.abs(wrapped(np.asarray(a) - np.asarray(b)))
     return float(np.hypot(*d))
 
 
@@ -459,9 +466,11 @@ def test_zero_curves_need_two_samples_per_axis(nx, ny, axis):
 # ---------------------------------------------------------------------------
 # contour layer against the per-cell reference
 #
-# ref_marching_squares and ref_stitch are the earlier per-cell loop and the
-# distance-based stitch, kept verbatim as oracles: segments must match them
-# bit for bit, and on fields without exact zeros so must the polylines.
+# ref_marching_squares and ref_stitch are the earlier per-cell loop on the
+# seam-padded grid and the distance-based stitch, the latter measuring the
+# distance on the torus: segments must match them bit for bit, and on fields
+# without exact zeros so must the polylines, up to the 2 pi image of a seam
+# vertex.
 
 _REF_SEGMENT_TABLE = {
     1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
@@ -506,8 +515,16 @@ def ref_marching_squares(kx, ky, values, zero_tol):
     return segments
 
 
+def torus_gap(p, q):
+    """Torus distance of two (kx, ky) points, in Python floats: ref_stitch
+    measures every pair of chain and segment ends."""
+    dx = (p[0] - q[0] + math.pi) % (2 * math.pi) - math.pi
+    dy = (p[1] - q[1] + math.pi) % (2 * math.pi) - math.pi
+    return math.hypot(dx, dy)
+
+
 def ref_stitch(segments, tol):
-    segs = [list(s) for s in segments]
+    segs = [[tuple(map(float, end)) for end in s] for s in segments]
     polylines = []
     while segs:
         chain = segs.pop()
@@ -517,9 +534,9 @@ def ref_stitch(segments, tol):
             for i, s in enumerate(segs):
                 for end, attach in ((chain[-1], "tail"), (chain[0], "head")):
                     hit = None
-                    if np.hypot(s[0][0] - end[0], s[0][1] - end[1]) < tol:
+                    if torus_gap(s[0], end) < tol:
                         hit = s[1]
-                    elif np.hypot(s[1][0] - end[0], s[1][1] - end[1]) < tol:
+                    elif torus_gap(s[1], end) < tol:
                         hit = s[0]
                     if hit is not None:
                         if attach == "tail":
@@ -536,14 +553,13 @@ def ref_stitch(segments, tol):
 
 
 def ref_point_zeros(fld, comp, vertices):
-    """The earlier point-zero rule: grid minima >= 2 cells from every vertex."""
+    """The point-zero rule: grid minima >= 2 cells (torus) from every vertex."""
     scale = float(np.abs(comp).max())
     dk = max(fld.kx[1] - fld.kx[0], fld.ky[1] - fld.ky[0])
     pts = []
     for iy, ix in _local_minima(np.abs(comp), threshold=1e-6 * max(1.0, scale)):
         pt = (float(fld.kx[ix]), float(fld.ky[iy]))
-        if not (len(vertices) and np.hypot(vertices[:, 0] - pt[0],
-                                           vertices[:, 1] - pt[1]).min() < 2 * dk):
+        if not (len(vertices) and np.hypot(*wrapped(vertices - pt).T).min() < 2 * dk):
             pts.append(pt)
     return pts
 
@@ -584,20 +600,27 @@ def stacked(lines):
     return np.vstack(lines) if lines else np.zeros((0, 2))
 
 
+def torus_tree(points):
+    """A cKDTree that measures the distance on the torus [-pi, pi)^2."""
+    return cKDTree((points + np.pi) % (2 * np.pi), boxsize=2 * np.pi)
+
+
 def same_polyline(a, b, tol=1e-12):
-    """Equal vertex by vertex up to reversal and, for closed loops, rotation."""
+    """Equal vertex by vertex on the torus up to reversal and, for closed
+    loops, rotation."""
     if a.shape != b.shape:
         return False
-    closed = np.abs(a[0] - a[-1]).max() <= tol
+    gap = lambda x, y: np.abs(wrapped(x - y))
+    closed = gap(a[0], a[-1]).max() <= tol
     for c in (b, b[::-1]):
         if not closed:
-            if np.abs(a - c).max() <= tol:
+            if gap(a, c).max() <= tol:
                 return True
             continue
         core = c[:-1]
-        for i in np.flatnonzero(np.abs(core - a[0]).max(axis=1) <= tol):
+        for i in np.flatnonzero(gap(core, a[0]).max(axis=1) <= tol):
             turned = np.roll(core, -i, axis=0)
-            if np.abs(a - np.vstack([turned, turned[:1]])).max() <= tol:
+            if gap(a, np.vstack([turned, turned[:1]])).max() <= tol:
                 return True
     return False
 
@@ -613,24 +636,26 @@ def test_marching_squares_matches_per_cell_reference():
         for level in (0.0, 1.0):
             ref = np.array(ref_marching_squares(kx, ky, comp - level, 0.0),
                            dtype=float).reshape(-1, 2, 2)
-            points, edges = _marching_squares(kx, ky, comp - level)
+            points, edges = _marching_squares(fld.kx, fld.ky, fld.values.real - level)
             assert points.shape == ref.shape
             assert points.tobytes() == ref.tobytes()
-            # a grid edge holds at most two ends, and they coincide
+            # a torus edge holds at most two ends, and they coincide modulo 2 pi
             order = np.argsort(edges.ravel(), kind="stable")
             ids, ends = edges.ravel()[order], points.reshape(-1, 2)[order]
             assert np.all(ids[2:] != ids[:-2])
             shared = np.flatnonzero(ids[1:] == ids[:-1])
-            assert np.abs(ends[shared] - ends[shared + 1]).max(initial=0) < 1e-12
+            assert np.abs(wrapped(ends[shared] - ends[shared + 1])).max(initial=0) < 1e-12
 
 
 def test_marching_squares_saddle_joins_corners_through_center():
     # corners 0 and 2 above, center (2 - 1 + 2 - 1) / 4 = 0.5 above as well:
-    # the segments cut off the below corners 1 and 3
+    # the segments cut off the below corners 1 and 3.  The 2x2 input is a
+    # torus of four such saddle cells; the first cell is the one asserted
     points, _ = _marching_squares(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                                   np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    np.testing.assert_allclose(points, [[[2 / 3, 0], [1, 1 / 3]],
-                                        [[1 / 3, 1], [0, 2 / 3]]], atol=1e-15)
+    assert points.shape == (8, 2, 2)
+    np.testing.assert_allclose(points[:2], [[[2 / 3, 0], [1, 1 / 3]],
+                                            [[1 / 3, 1], [0, 2 / 3]]], atol=1e-15)
 
 
 def test_zero_curves_match_reference_on_zero_free_fields():
@@ -658,8 +683,8 @@ def test_zero_curves_vertices_and_point_zeros_match_reference():
         vertices = stacked(curve.polylines)
         assert len(vertices) > 0 or len(ends) == 0
         if len(ends):
-            assert cKDTree(ends).query(vertices)[0].max() <= 1e-12
-            assert cKDTree(vertices).query(ends)[0].max() <= 1e-12
+            assert torus_tree(ends).query((vertices + np.pi) % (2 * np.pi))[0].max() <= 1e-12
+            assert torus_tree(vertices).query((ends + np.pi) % (2 * np.pi))[0].max() <= 1e-12
         assert curve.point_zeros == ref_point_zeros(fld, comp, ends)
 
 
@@ -673,7 +698,7 @@ def test_zero_curves_plateau_partition():
         curve = fermi_curves(p, n, n, which, "+")
         assert curve.polylines
         for line in curve.polylines:
-            steps = np.hypot(*np.diff(line, axis=0).T)
+            steps = np.hypot(*wrapped(np.diff(line, axis=0)).T)
             assert steps.sum() > 0
             assert steps.max() <= np.sqrt(2) * cell * (1 + 1e-9)
     # one contour that stays clear of the seam closes into a single loop
@@ -688,8 +713,74 @@ def test_zero_curves_plateau_partition():
     assert np.array_equal(loop[0], loop[-1])
 
 
+# ---------------------------------------------------------------------------
+# contours on the torus: curves join across the seam kx, ky = -pi ~ pi
+
+def torus_field(values):
+    ny, nx = values.shape
+    return ScalarField(kx=_k_grid(nx), ky=_k_grid(ny), values=values.astype(complex))
+
+
+def test_seam_zero_line_is_a_closed_loop_and_no_point_zero():
+    # sin kx vanishes on kx = 0 and on the seam kx = -pi ~ pi: each line is
+    # one loop around the ky circle, and the seam line is not also reported
+    # as a column of point zeros at kx = -pi
+    k = _k_grid(64)
+    curve = zero_curves(torus_field(np.broadcast_to(np.sin(k), (64, 64))), "field")
+    assert len(curve.polylines) == 2
+    for line in curve.polylines:
+        assert len(line) == 65
+        assert np.array_equal(line[0], line[-1])
+    assert curve.point_zeros == []
+
+
+@pytest.mark.parametrize("which", ["Re_eta", "Im_eta"])
+def test_eta_zero_curves_close_and_keep_clear_of_point_zeros(which):
+    # the gamma = 0 coexistence recipe: one of its Re eta loops crosses the
+    # seam, and its Im eta curves run along it
+    fld = scan_discriminant(ModelParams(t1=0.75, ga=0.5, gb=0.3), 121, 121)
+    curve = zero_curves(fld, which)
+    assert curve.polylines
+    assert all(np.array_equal(line[0], line[-1]) for line in curve.polylines)
+    vertices = np.vstack(curve.polylines)
+    for q in curve.point_zeros:
+        assert np.hypot(*wrapped(vertices - q).T).min() >= 2 * (2 * np.pi / 121)
+
+
+def test_loop_around_the_corner_crosses_both_seams_as_one_polyline():
+    # cos kx + cos ky + 0.3 < 0 on a disc around (pi, pi), the four corners
+    # of the square [-pi, pi)^2 on the torus
+    k = _k_grid(121)
+    curve = zero_curves(torus_field(np.cos(k)[None, :] + np.cos(k)[:, None] + 0.3), "field")
+    assert len(curve.polylines) == 1
+    loop = curve.polylines[0]
+    assert np.array_equal(loop[0], loop[-1])
+    # consecutive vertices straddle the seam on both axes, and every step is
+    # a grid-scale move on the torus
+    steps = np.diff(loop, axis=0)
+    assert (np.abs(steps) > np.pi).any(axis=0).all()
+    assert np.hypot(*wrapped(steps).T).max() <= np.sqrt(2) * 2 * np.pi / 121 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_smallest_torus_pairs_every_edge_end(shape):
+    # every cell is traced, so each crossed edge of the torus grid holds the
+    # ends of the two cells beside it and every curve closes
+    ny, nx = shape
+    noise = np.random.default_rng(2).standard_normal(shape)
+    checker = np.where(np.indices(shape).sum(axis=0) % 2, 1.0, -1.0)
+    for values in (noise, np.round(noise), checker):  # rounding leaves exact zeros
+        _, edges = _marching_squares(_k_grid(nx), _k_grid(ny), values)
+        ids, counts = np.unique(edges, return_counts=True)
+        assert len(ids) and np.all(counts == 2)
+        assert 0 <= ids.min() and ids.max() < 2 * nx * ny
+        curve = zero_curves(torus_field(values), "field")
+        assert curve.polylines
+        assert all(np.array_equal(line[0], line[-1]) for line in curve.polylines)
+
+
 def ckdtree_point_zeros(fld, comp, polylines):
-    """The earlier cKDTree point-zero filter: planar nearest-vertex distance.
+    """The cKDTree point-zero filter: nearest-vertex distance on the torus.
 
     Returns the point zeros and the number of grid minima it filtered.
     """
@@ -698,7 +789,7 @@ def ckdtree_point_zeros(fld, comp, polylines):
     iy, ix = _local_minima(np.abs(comp), threshold=1e-6 * max(1.0, scale)).T
     pts = np.column_stack([fld.kx[ix], fld.ky[iy]])
     if polylines:
-        dist, _ = cKDTree(np.vstack(polylines)).query(pts)
+        dist, _ = torus_tree(np.vstack(polylines)).query((pts + np.pi) % (2 * np.pi))
         pts = pts[dist >= 2 * dk]
     return [tuple(q) for q in pts.tolist()], len(iy)
 
@@ -759,6 +850,9 @@ def test_near_vertex_nodes_matches_loop_oracle():
                 want = near_vertex_nodes_loops(kx, ky, vertices, radius * dk)
                 assert mask.shape == (ny, nx)
                 assert np.array_equal(mask, want), (nx, ny, len(vertices), radius)
+                if len(vertices) == 1 and vertices[0, 0] == np.pi:
+                    # a vertex on the seam pi marks the node at its image -pi
+                    assert mask[ny // 2, 0]
 
 
 def minima_fields(rng):

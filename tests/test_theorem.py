@@ -101,6 +101,12 @@ def test_generator_eigenvalues_dim5():
     assert gaps.min() > 0.05
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_theorem_report_rejects_an_empty_matrix_by_its_shape(shape):
+    with pytest.raises(ValueError, match=r"^expected a square matrix of size >= 1, got shape"):
+        theorem_report(np.zeros(shape))
+
+
 def test_extract_rejects_an_eigensystem_flagged_defective():
     # the subspace of a valid pair is found, but not that of a Jordan block
     # on the same draw, whose eigensystem carries the defective flag
