@@ -54,13 +54,43 @@ def _write_csv(path, header: str, chunks) -> None:
         fh.writelines(chunks)
 
 
+def _lines(n: int, *columns) -> str:
+    """The text of n CSV lines; a column is n texts or one text shared by all.
+
+    Each column fills its fields of all n lines in one slice assignment
+    into a list of fields and separators, and one join makes the text.
+    """
+    parts = ([None, ","] * (len(columns) - 1) + [None, "\n"]) * n
+    for j, col in enumerate(columns):
+        parts[2 * j::2 * len(columns)] = [col] * n if isinstance(col, str) else col
+    return "".join(parts)
+
+
 def write_vector_field_csv(path, field) -> None:
-    """CSV export of a discriminant field, row-major with ky outer, one row at a time."""
-    kx = [repr(x) for x in field.kx.tolist()]
-    _write_csv(path, "kx,ky,re_eta,im_eta", (
-        "".join([f"{x},{y},{re!r},{im!r}\n"
-                 for x, re, im in zip(kx, row.real.tolist(), row.imag.tolist())])
-        for y, row in zip(map(repr, field.ky.tolist()), field.values)))
+    """CSV export of a discriminant field, row-major with ky outer, row by row.
+
+    Each row's floats become text once: row m, if its bits equal row ny - m's
+    (as when eta is even in ky), keeps its re and im texts as two joined
+    strings until row ny - m reuses them.  Values not of shape
+    (ky.size, kx.size) raise before the file is opened.
+    """
+    grid = (field.ky.size, field.kx.size)
+    if field.values.shape != grid:
+        raise ValueError(f"field values have shape {field.values.shape}, grid (ky, kx) {grid}")
+    _write_csv(path, "kx,ky,re_eta,im_eta", _field_rows(field))
+
+
+def _field_rows(field):
+    """The text of each row of the field, one mirror-twin pair formatted once."""
+    kx, values, twins = [repr(x) for x in field.kx.tolist()], field.values, {}
+    for m, (y, row) in enumerate(zip(map(repr, field.ky.tolist()), values)):
+        if m in twins:
+            re, im = (text.split(",") for text in twins.pop(m))
+        else:
+            re, im = (list(map(repr, part.tolist())) for part in (row.real, row.imag))
+            if 0 < m < len(values) - m and row.tobytes() == values[-m].tobytes():
+                twins[len(values) - m] = (",".join(re), ",".join(im))
+        yield _lines(len(kx), kx, y, re, im)
 
 
 def write_band_csv(path, bands, dump_vectors: bool = False) -> None:
@@ -77,10 +107,9 @@ def _band_chunks(bands, vectors):
     """The rows of each band, then the eigenvector dump as comment lines."""
     ks = [repr(band.transverse_k) for band in bands]
     for k, band in zip(ks, bands):
-        yield "".join([f"{k},{n},{re!r},{im!r},{flag}\n" for n, (re, im, flag)
-                       in enumerate(zip(band.eigenvalues.real.tolist(),
-                                        band.eigenvalues.imag.tolist(),
-                                        band.edge_flags))])
+        lam = band.eigenvalues
+        yield _lines(len(lam), k, map(str, range(len(lam))), map(repr, lam.real.tolist()),
+                     map(repr, lam.imag.tolist()), band.edge_flags)
     if vectors is not None:
         yield "# eigenvector dump\n"
         for k, vecs in zip(ks, vectors):
@@ -98,8 +127,7 @@ def write_phases_csv(path, v_values, rows) -> None:
     ``v_values``.
     """
     v_texts = [repr(float(v)) for v in v_values]
-    row_texts = ((repr(float(g)), f"{float(v1)!r},{float(v2)!r}", labels)
-                 for g, v1, v2, labels in rows)
     _write_csv(path, "g,v,v1,v2,phase", (
-        "".join([f"{g},{v},{bounds},{label}\n" for v, label in zip(v_texts, labels)])
-        for g, bounds, labels in row_texts))
+        _lines(len(v_texts), repr(float(g)), v_texts, f"{float(v1)!r},{float(v2)!r}",
+               map(str, labels))
+        for g, v1, v2, labels in rows))

@@ -21,7 +21,8 @@ from nhdeg.cli import build_parser, main
 from nhdeg.model import ModelParams, load_params, phase_boundaries, save_params
 from nhdeg.scanner import ScalarField, scan_discriminant
 from nhdeg.ribbon import LocalizationReport, RibbonBand
-from nhdeg.serialize import FORMAT, write_band_csv, write_json, write_vector_field_csv
+from nhdeg.serialize import (FORMAT, write_band_csv, write_json, write_phases_csv,
+                             write_vector_field_csv)
 
 
 @pytest.fixture
@@ -97,13 +98,23 @@ def test_vector_field_supports_flow_reversal_detection(tmp_path):
 def test_vector_field_csv_matches_row_writer(tmp_path):
     # the earlier one-row-at-a-time writer, kept as a byte oracle
     rng = np.random.default_rng(3)
-    kx, ky = np.linspace(-np.pi, np.pi, 7, endpoint=False), np.sort(rng.uniform(-3, 3, 5))
-    values = (rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-300, 300, (5, 7))
-              + 1j * rng.standard_normal((5, 7)))
+    kx, ky = np.linspace(-np.pi, np.pi, 7, endpoint=False), np.sort(rng.uniform(-3, 3, 7))
+    values = (rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, (7, 7))
+              + 1j * rng.standard_normal((7, 7)))
     values[0, :3] = [0.0, -0.0, complex(-0.0, -0.0)]
+    # rows 1 and 6 are mirror twins, bit for bit, with inf and nan entries
+    values[1, :4] = [complex(np.inf, -np.inf), complex(np.nan, 0.0), -0.0, complex(1.0, np.nan)]
+    values[6] = values[1]
+    # rows 2 and 5 differ only in the sign of one zero: not twins
+    values[2, 0], values[5] = 0.0, values[2]
+    values[5, 0] = -0.0
+    # rows 3 and 4 are twins through zeros of both signs
+    values[3, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+    values[4] = values[3]
     expected = f"# format={FORMAT}\nkx,ky,re_eta,im_eta\n" + "".join(
         f"{float(kx[ix])!r},{float(ky[iy])!r},{float(values[iy, ix].real)!r},"
-        f"{float(values[iy, ix].imag)!r}\n" for iy in range(5) for ix in range(7))
+        f"{float(values[iy, ix].imag)!r}\n" for iy in range(7) for ix in range(7))
+    assert "-0.0" in expected.splitlines()[2 + 5 * 7] and "nan" in expected
     # the same values as a transposed view, whose rows are strided
     transposed = np.ascontiguousarray(values.T).T
     assert not transposed.flags.c_contiguous
@@ -111,6 +122,32 @@ def test_vector_field_csv_matches_row_writer(tmp_path):
         path = tmp_path / "field.csv"
         write_vector_field_csv(path, ScalarField(kx=kx, ky=ky, values=grid))
         assert path.read_text() == expected
+
+
+def test_vector_field_csv_rejects_values_off_the_grid(tmp_path):
+    # 4 kx by 3 ky labels over 3x3 values: nothing is written
+    kx, ky = np.linspace(-np.pi, np.pi, 4, endpoint=False), np.zeros(3)
+    path = tmp_path / "field.csv"
+    with pytest.raises(ValueError, match=re.escape("shape (3, 3), grid (ky, kx) (3, 4)")):
+        write_vector_field_csv(path, ScalarField(kx=kx, ky=ky, values=np.ones((3, 3), complex)))
+    assert not path.exists()
+
+
+def test_phases_csv_matches_row_writer(tmp_path):
+    # the earlier f-string writer, kept as a byte oracle
+    rng = np.random.default_rng(5)
+    v_values = np.append(rng.standard_normal(5) * 10.0 ** rng.integers(-300, 300, 5), -0.0)
+    names = np.array(["band_insulator", "topological_insulator", "boundary_gapless"])
+    rows = [(g, *rng.standard_normal(2), names[rng.integers(0, 3, v_values.size)])
+            for g in (-0.0, 0.0, 1e-300, 1.2345678901234567)]
+    rows.append((np.float64(2.5), -0.0, np.float64(3.0), ["band_insulator"] * v_values.size))
+    v_texts = [repr(float(v)) for v in v_values]
+    expected = f"# format={FORMAT}\ng,v,v1,v2,phase\n" + "".join(
+        f"{float(g)!r},{v},{float(v1)!r},{float(v2)!r},{label}\n"
+        for g, v1, v2, labels in rows for v, label in zip(v_texts, labels))
+    path = tmp_path / "phases.csv"
+    write_phases_csv(path, v_values, rows)
+    assert path.read_text() == expected
 
 
 @pytest.mark.parametrize("dump_vectors", [False, True])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import (match_eigenvalue_multisets, real_space_hamiltonian_loops,
                       weyl_dispersion)
-from nhdeg.model import (ModelParams, X1_POINTS, X2_POINTS, _d_components, _hop_list,
+from nhdeg.model import (ModelParams, X1_POINTS, X2_POINTS, _d_components, _hop_list, _k_grid,
                          bloch_hamiltonian, discriminant_function, dispersion,
                          linear_expansion, load_params, phase_boundaries,
                          phase_classify, quadratic_expansion,
@@ -219,6 +219,27 @@ def test_d_vector_derivatives_match_central_differences():
             minus = np.array(d_at(p, kx - h * nx, ky - h * ny))
             exact = np.array([complex(c) for c in _d_components(p, kx, ky, nx, ny)])
             np.testing.assert_allclose(exact, (plus - minus) / (2 * h), atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_discriminant_is_bitwise_even_in_ky_without_onsite_terms(seed):
+    # write_vector_field_csv formats the mirror rows ky and -ky of eta once:
+    # without onsite terms they hold the same bits on the torus grid
+    k = _k_grid(301)
+    rows = np.arange(1, 301)
+    rows = rows[k[301 - rows] == -k[rows]]
+    assert rows.size == 144
+    p = random_params(np.random.default_rng(seed))
+    offsite = p.replace(v=0.0, mu_a=0.0, mu_b=0.0)
+    for q in (offsite, offsite.replace(v=p.v), offsite.replace(mu_a=p.mu_a),
+              offsite.replace(mu_b=p.mu_b)):
+        eta = discriminant_function(q, k[None, :], k[:, None])
+        mirror, here = eta[301 - rows], eta[rows]
+        relative = np.abs(mirror - here).max() / np.abs(here).max()
+        if q == offsite:
+            assert mirror.tobytes() == here.tobytes()
+        else:
+            assert relative > 1e-4, (q, relative)
 
 
 # ---------------------------------------------------------------------------
