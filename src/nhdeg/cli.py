@@ -122,6 +122,10 @@ def cmd_symmetry(args) -> int:
 
 def cmd_phases(args) -> int:
     p = load_params(args.params)
+    for name, lo, hi in (("v", args.v_min, args.v_max), ("g", args.g_min, args.g_max)):
+        if not np.isfinite(hi - lo):
+            raise ValueError(f"--{name}-min {lo!r} to --{name}-max {hi!r} spans more "
+                             f"than the largest float")
     v_values = np.linspace(args.v_min, args.v_max, args.v_steps)
     g_values = np.linspace(args.g_min, args.g_max, args.g_steps)
     tol = args.boundary_tol

@@ -22,11 +22,13 @@ x-open one; the mapped and direct eigenvalues differ by up to 2.1e-2 and
 3.0e-6 there (after matching).  Both have the solver's residual against
 H(k).
 
-The dense solves of a sweep run in parallel, one thread per CPU available
-to the process (the calling thread among them), while OpenBLAS is pinned
-to one thread.  Each solve is then single-threaded, so the bands do not
-depend on the number of CPUs or on ``OPENBLAS_NUM_THREADS``; a threaded
-solve rounds differently, and the conditioning above amplifies that.
+The dense solves of a sweep run on a ``concurrent.futures`` thread pool,
+one thread per CPU available to the process, while OpenBLAS is pinned to
+one thread; on one CPU, or without an OpenBLAS thread setter, they run in
+turn on the calling thread.  Each solve is then single-threaded, so the
+bands do not depend on the number of CPUs or on ``OPENBLAS_NUM_THREADS``;
+a threaded solve rounds differently, and the conditioning above amplifies
+that.
 
 Bands of one solve share its eigenvalues and edge flags.  Eigenvectors
 are kept only for the bands the caller names (``keep_vectors``, all by
@@ -253,12 +255,13 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
     (None, the default, keeps all); the other bands carry
     ``eigenvectors=None``.  A kept band shares the read-only vectors of its
     solve, except that a partner across pi gets its own gauge-mapped copy;
-    no copy is made for a dropped one.  The solves run in parallel with
-    OpenBLAS pinned to one thread, and each drops its unkept vectors at
-    once (all in the module docstring), so the bands do not depend on the
-    number of CPUs and the memory not on the number of momenta.  A ribbon
-    wider than the dense solver's limit is rejected before any matrix is
-    built.
+    no copy is made for a dropped one.  The solves run on a thread pool
+    with OpenBLAS pinned to one thread, and each drops its unkept vectors
+    at once (all in the module docstring), so the bands do not depend on
+    the number of CPUs and the memory not on the number of momenta.  Of
+    failed solves, the one at the least momentum modulo pi raises, once
+    every solve has stopped.  A ribbon wider than the dense solver's limit
+    is rejected before any matrix is built.
     """
     if 2 * n_cells > MAX_DENSE_DIM:
         raise ValueError(f"dense solver limited to dim <= {MAX_DENSE_DIM}, got {2 * n_cells}")
@@ -272,54 +275,34 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
     lower = wrapped < 0
     rep = np.where(lower, wrapped + np.pi, wrapped)
     u = _gauge_signs(p, n_cells)
-    order = np.argsort(rep, kind="stable")
     groups = []
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while stop < len(order) and rep[order[stop]] - rep[order[start]] <= _SAME_K_TOL:
-            stop += 1
-        groups.append(order[start:stop])
-        start = stop
-    solves = [next((i for i in group if not lower[i]), group[0]) for group in groups]
-    kept = [not keep.isdisjoint(group.tolist()) for group in groups]
-    # one slot per group, so the bands do not depend on the thread count
-    results = [None] * len(groups)
+    for i in np.argsort(rep, kind="stable").tolist():
+        if groups and rep[i] - rep[groups[-1][0]] <= _SAME_K_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
 
-    def run(first, step):
-        # a worker stops at its first failure, which the caller re-raises
-        for g in range(first, len(groups), step):
-            try:
-                es = eigensystem_n(ribbon_hamiltonian(p, open_axis, n_cells, ks[solves[g]]),
-                                   want_left=False)
-                flags = _localize(es.right, n_cells)[2]
-                results[g] = es.eigenvalues, es.right if kept[g] else None, flags
-            except BaseException as exc:
-                results[g] = exc
-                return
+    def solve(group):
+        at = next((i for i in group if not lower[i]), group[0])
+        es = eigensystem_n(ribbon_hamiltonian(p, open_axis, n_cells, ks[at]), want_left=False)
+        right = None if keep.isdisjoint(group) else es.right
+        return at, es.eigenvalues, right, _localize(es.right, n_cells)[2]
 
+    # either map raises the first failure in group order; the pool joins first
     with _one_blas_thread() as workers:
-        step = max(1, min(workers, len(groups)))
-        threads = [threading.Thread(target=run, args=(first, step))
-                   for first in range(1, step)]
-        try:
-            for t in threads:
-                t.start()
-            run(0, step)
-        finally:
-            for t in threads:
-                if t.ident is not None:
-                    t.join()
+        if workers == 1:
+            results = list(map(solve, groups))
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(workers) as pool:
+                results = list(pool.map(solve, groups))
     bands = [None] * len(ks)
-    for group, solve, result in zip(groups, solves, results):
-        if isinstance(result, BaseException):
-            raise result
-        lam, right, flags = result
+    for group, (at, lam, right, flags) in zip(groups, results):
         lam.flags.writeable = False
         for i in group:
             vecs = None
             if i in keep:
-                vecs = right if lower[i] == lower[solve] else u[:, None] * right
+                vecs = right if lower[i] == lower[at] else u[:, None] * right
                 vecs.flags.writeable = False
             bands[i] = RibbonBand(transverse_k=ks[i], eigenvalues=lam,
                                   eigenvectors=vecs, edge_flags=list(flags))

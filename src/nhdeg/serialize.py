@@ -96,9 +96,15 @@ def _field_rows(field):
 def write_band_csv(path, bands, dump_vectors: bool = False) -> None:
     """CSV export of ribbon bands: (k, index, re_e, im_e, edge_flag).
 
-    With ``dump_vectors`` every band must carry its eigenvectors; a band
-    without them raises before the file is opened.
+    With ``dump_vectors`` every band must carry its eigenvectors.  A band
+    without them, or with edge flags not one per eigenvalue, raises before
+    the file is opened.
     """
+    for band in bands:
+        if len(band.edge_flags) != len(band.eigenvalues):
+            raise ValueError(f"band at transverse k = {band.transverse_k!r} has "
+                             f"{len(band.eigenvalues)} eigenvalues, "
+                             f"{len(band.edge_flags)} edge flags")
     vectors = [band.vectors() for band in bands] if dump_vectors else None
     _write_csv(path, "k,index,re_e,im_e,edge_flag", _band_chunks(bands, vectors))
 
@@ -124,9 +130,14 @@ def write_phases_csv(path, v_values, rows) -> None:
     """CSV export of a phase sweep: (g, v, v1, v2, phase), v inner.
 
     ``rows`` holds one (g, v1, v2, labels) per g, the labels over
-    ``v_values``.
+    ``v_values``; a row with another number of labels raises before the
+    file is opened.
     """
-    v_texts = [repr(float(v)) for v in v_values]
+    v_texts, rows = [repr(float(v)) for v in v_values], list(rows)
+    for g, _, _, labels in rows:
+        if len(labels) != len(v_texts):
+            raise ValueError(f"phase row at g = {float(g)!r} has {len(labels)} labels, "
+                             f"{len(v_texts)} v values")
     _write_csv(path, "g,v,v1,v2,phase", (
         _lines(len(v_texts), repr(float(g)), v_texts, f"{float(v1)!r},{float(v2)!r}",
                map(str, labels))

@@ -181,6 +181,30 @@ def test_band_csv_matches_row_writer(tmp_path, dump_vectors):
     assert path.read_text() == "".join(expected)
 
 
+def test_band_csv_rejects_flags_not_one_per_eigenvalue_and_writes_nothing(tmp_path):
+    # the bad band comes second, so a writer that checked it late would
+    # leave the header and the first band on disk
+    lam = np.arange(6.0) + 0j
+    bands = [RibbonBand(transverse_k=0.5, eigenvalues=lam, eigenvectors=None,
+                        edge_flags=["left"] * 6),
+             RibbonBand(transverse_k=-0.25, eigenvalues=lam, eigenvectors=None,
+                        edge_flags=["left"] * 3)]
+    path = tmp_path / "bands.csv"
+    with pytest.raises(ValueError, match=r"^band at transverse k = -0\.25 has 6 "
+                                         r"eigenvalues, 3 edge flags$"):
+        write_band_csv(path, bands)
+    assert not path.exists()
+
+
+def test_phases_csv_rejects_labels_not_one_per_v_and_writes_nothing(tmp_path):
+    v_values = np.linspace(-1.0, 1.0, 4)
+    rows = [(0.0, -1.0, 1.0, ["band_insulator"] * 4), (0.5, -1.0, 1.0, ["band_insulator"] * 5)]
+    path = tmp_path / "phases.csv"
+    with pytest.raises(ValueError, match=r"^phase row at g = 0\.5 has 5 labels, 4 v values$"):
+        write_phases_csv(path, v_values, rows)
+    assert not path.exists()
+
+
 def test_write_json_encodes_complex_numbers_and_dataclass_records(tmp_path):
     path = tmp_path / "doc.json"
     rep = LocalizationReport(ipr=0.25, center_of_mass=1.5, side="left")
@@ -574,6 +598,19 @@ def test_cli_phases_rejects_non_finite_sweep_bounds(tmp_path, capsys, p, changes
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("name", ["v", "g"])
+def test_cli_phases_rejects_a_span_that_overflows(tmp_path, capsys, name):
+    # -1e308 to 1e308 is finite at both ends, but np.linspace's step is not:
+    # it warned twice and then rejected a nan potential or loss rate
+    pf, out = tmp_path / "p.txt", tmp_path / "out"
+    save_params(_TOPO, pf)
+    assert main(["phases", "--params", str(pf), f"--{name}-min=-1e308", f"--{name}-max",
+                 "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --{name}-min -1e+308 to --{name}-max 1e+308 "
+                                       f"spans more than the largest float\n")
+    assert not out.exists()
+
+
 def test_cli_phases_regime_error_writes_nothing(tmp_path, capsys):
     # an empty parameter file is the gamma = 0 default, which phases rejects
     # before it creates the output directory
@@ -813,6 +850,7 @@ def test_runtime_imports_no_scipy():
 
 
 def test_cli_import_loads_no_executor_pool():
-    # the ribbon sweep runs plain threading threads; concurrent.futures
-    # would add several milliseconds to every command's start-up
+    # the ribbon sweep imports its concurrent.futures pool when it runs;
+    # imported with the CLI it would add several milliseconds to every
+    # command's start-up
     assert _modules_after_cli_import("concurrent") == "[]"

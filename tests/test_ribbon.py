@@ -437,6 +437,48 @@ def test_failed_solve_restores_the_blas_thread_count_and_raises(monkeypatch):
         _set_blas_counts(before)
 
 
+def test_empty_sweep_starts_no_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    assert ribbon_spectrum(P_TI, "x", 8, []) == []
+    assert started == []
+
+
+def test_later_failed_solve_raises_once_every_worker_stopped(monkeypatch):
+    # the first of four groups solves slowly on one worker while the last
+    # fails at once on the other: the sweep raises the last group's error,
+    # and only after the slow solve is done and both workers are gone.  A
+    # process without OpenBLAS solves serially and skips
+    _blas_counts()
+    before = threading.active_count()
+    build = nhdeg.ribbon.ribbon_hamiltonian
+    done, failed_early = [], []
+
+    def failing(p, axis, n, k):
+        if k == 0.0:
+            time.sleep(0.2)
+            done.append(k)
+        if k == 3 * np.pi / 4:
+            failed_early.append(not done)
+            raise RuntimeError("last solve failed")
+        return build(p, axis, n, k)
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
+    monkeypatch.setattr(nhdeg.ribbon, "ribbon_hamiltonian", failing)
+    with pytest.raises(RuntimeError, match="last solve failed"):
+        ribbon_spectrum(P_TI, "x", 8, _k_grid(8))
+    assert failed_early == [True]
+    assert done == [0.0]
+    assert threading.active_count() == before
+
+
 def test_without_blas_calls_the_sweep_is_serial(monkeypatch):
     # no thread setter: every solve runs on the calling thread, as direct
     # solves there would.  The lookup finds none in a process without
