@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import _k_grid, _phase_labels, load_params, phase_boundaries, phase_classify
+from .model import _k_grid, _phase_labels, load_params, phase_boundaries
 from .ribbon import localization, obc_defective_check, ribbon_spectrum, skin_metric
 from .scanner import scan_discriminant  # noqa: F401 (perfbench reads it)
 from .scanner import NEWTON_TOL, find_degeneracies
@@ -128,19 +128,10 @@ def cmd_phases(args) -> int:
                              f"than the largest float")
     v_values = np.linspace(args.v_min, args.v_max, args.v_steps)
     g_values = np.linspace(args.g_min, args.g_max, args.g_steps)
-    tol = args.boundary_tol
     rows = []
-    for row, g in enumerate(g_values.tolist()):
+    for g in g_values.tolist():
         pg = p.replace(ga=g, gb=g)
-        if row == 0:
-            # what a point-by-point sweep checks, in its order: the first
-            # point in full, then the other potentials; the regime and the
-            # potentials are the same on every row
-            phase_classify(pg.replace(v=float(v_values[0])), tol)
-            bad = ~np.isfinite(v_values)
-            if bad.any():
-                pg.replace(v=float(v_values[bad.argmax()]))   # raises
-        rows.append((g, *phase_boundaries(pg), _phase_labels(pg, v_values, tol)))
+        rows.append((g, *phase_boundaries(pg), _phase_labels(pg, v_values, args.boundary_tol)))
     path = _outpath(args, "phases.csv")
     write_phases_csv(path, v_values, rows)
     v1, v2 = phase_boundaries(p)

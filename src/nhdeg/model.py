@@ -335,19 +335,15 @@ def phase_classify(p: ModelParams, tol: float = 1e-9) -> str:
     'topological_insulator' strictly between v1 and v2, and
     'band_insulator' outside.
     """
-    if not (0.0 < p.gamma < np.pi / 2):
-        raise ValueError(f"phase_classify requires 0 < gamma < pi/2, got {p.gamma}")
-    if p.gx != 0.0 or p.gy != 0.0:
-        raise ValueError("phase_classify requires gx = gy = 0")
     return str(_phase_labels(p, p.v, tol))
 
 
 def _phase_labels(p: ModelParams, v, tol: float) -> np.ndarray:
-    """The labels of ``phase_classify`` for potentials ``v`` (broadcasts).
-
-    The boundaries are those of ``p``; ``p.v`` is not read and nothing is
-    checked.
-    """
+    """The regime check and labels of ``phase_classify`` at potentials ``v``, not ``p.v``."""
+    if not (0.0 < p.gamma < np.pi / 2):
+        raise ValueError(f"phase_classify requires 0 < gamma < pi/2, got {p.gamma}")
+    if p.gx != 0.0 or p.gy != 0.0:
+        raise ValueError("phase_classify requires gx = gy = 0")
     v1, v2 = phase_boundaries(p)
     lo, hi = min(v1, v2), max(v1, v2)
     labels = np.where((lo < v) & (v < hi), "topological_insulator", "band_insulator")

@@ -569,6 +569,10 @@ _README_SWEEP = PHASE_SWEEPS["readme"][1]
 @pytest.mark.parametrize("p,changes,message", [
     (_TOPO.replace(gamma=0.0), {}, "phase_classify requires 0 < gamma < pi/2, got 0.0"),
     (_TOPO.replace(gx=0.1), {}, "phase_classify requires gx = gy = 0"),
+    # the regime fails on the first row, before a later g overflows cosh
+    (_TOPO.replace(gamma=0.0), {4: 1000.0}, "phase_classify requires 0 < gamma < pi/2, got 0.0"),
+    # an overflow at the first g fails before the regime is checked
+    (_TOPO.replace(gamma=0.0), {3: 800.0}, OVERFLOW),
 ])
 def test_cli_phases_rejects_what_the_point_loop_rejects(tmp_path, capsys, p, changes,
                                                         message):
@@ -646,19 +650,6 @@ def test_cli_phases_boundary_tol_must_be_finite_and_non_negative(tmp_path, capsy
         assert capsys.readouterr().err.endswith(
             f"error: argument --boundary-tol: expected a finite number >= 0, got {tol!r}\n")
         assert not out.exists()
-
-
-def test_cli_phases_checks_the_potentials_in_sweep_order(tmp_path, capsys, monkeypatch):
-    # np.linspace puts a non-finite value at the first point whenever it makes
-    # one; a sweep with one further on is checked in sweep order all the same
-    linspace = np.linspace
-    monkeypatch.setattr(np, "linspace", lambda a, b, n: (
-        np.array([1.0, 2.0, -math.inf, math.nan]) if n == 4 else linspace(a, b, n)))
-    sweep = (0.0, 1.0, 4, 0.0, 1.0, 2, 1e-6)
-    assert run_phases(tmp_path, _TOPO, sweep, "order")[0] == 2
-    assert capsys.readouterr().err == "error: parameter v is not finite: -inf\n"
-    with pytest.raises(ValueError, match="^parameter v is not finite: -inf$"):
-        phases_csv_loop(_TOPO, *sweep)
 
 
 def readme_cli_recipes():

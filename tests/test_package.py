@@ -1,6 +1,8 @@
-"""The package's public names: each module's __all__, re-exported once."""
+"""The package's public names: each module's __all__, re-exported once; no unused import."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,24 @@ def test_package_all_is_union_of_module_all():
     assert len(set(union)) == len(union)
     for public in nhdeg.__all__:
         assert hasattr(nhdeg, public), public
+
+
+@pytest.mark.parametrize("path", sorted(Path(nhdeg.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_uses_every_name_it_imports(path):
+    # an import stays, unused, when the code that read it goes; `*`,
+    # __future__ and lines marked `# noqa: F401` are exempt
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names
+                     if alias.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

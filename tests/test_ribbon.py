@@ -1,6 +1,7 @@
 """Tests for ribbon spectra, localization metrics and zero-mode coalescence."""
 
 import os
+import re
 import sys
 import threading
 import time
@@ -325,6 +326,22 @@ def test_oversized_ribbon_is_rejected_before_any_matrix_is_built(monkeypatch):
     with pytest.raises(LookupError):
         ribbon_spectrum(P_TI, "y", n, [0.0])
     assert built == [n]
+
+
+@pytest.mark.parametrize("axis,n,message", [
+    ("z", 30, "open_axis must be 'x' or 'y', got 'z'"),
+    ("x", 3, "need at least 8 cells across the ribbon"),
+    ("x", -5, "need at least 8 cells across the ribbon"),
+])
+def test_invalid_ribbon_is_rejected_before_blas_is_pinned(monkeypatch, axis, n, message):
+    # an empty sweep returned [], and a bad ribbon raised only in a solve
+    def pinned():
+        raise LookupError("pinned")
+
+    monkeypatch.setattr(nhdeg.ribbon, "_one_blas_thread", pinned)
+    for k_values in ([], [0.0], [0.5, -0.5]):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ribbon_spectrum(P_TI, axis, n, k_values)
 
 
 def test_singleton_momentum_is_a_direct_solve():
