@@ -15,8 +15,6 @@ nothing; stdout carries a short human summary.
 Identical configurations (including --seed) produce byte-identical files.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import os

@@ -10,8 +10,6 @@ left vectors only so that <psi_L_m | psi_R_n> = delta_mn while right vectors
 stay unit norm.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

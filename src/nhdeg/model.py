@@ -14,8 +14,6 @@ Hamiltonians on tori, cylinders and ribbons; it also gives the phase
 boundaries of the insulating regimes.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
@@ -28,7 +26,6 @@ __all__ = [
     "Expansion",
     "X1_POINTS",
     "X2_POINTS",
-    "GAMMA_POINT",
     "bloch_hamiltonian",
     "dispersion",
     "discriminant_function",
@@ -44,7 +41,6 @@ __all__ = [
 # High-symmetry momenta on the square torus [-pi, pi)^2.
 X1_POINTS = ((np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2))
 X2_POINTS = ((np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2))
-GAMMA_POINT = (0.0, 0.0)
 
 
 def _k_grid(n: int) -> np.ndarray:
@@ -439,7 +435,7 @@ def quadratic_expansion(p: ModelParams, center: str) -> Expansion:
     elif center == "Gamma":
         if not np.isclose(p.gamma, np.pi / 2):
             raise ValueError("center 'Gamma' requires gamma = pi/2")
-        c = GAMMA_POINT
+        c = (0.0, 0.0)
     else:
         raise ValueError(f"center must be 'M' or 'Gamma', got {center!r}")
     coeffs = _taylor_d(p, c, 2)

@@ -22,13 +22,13 @@ x-open one; the mapped and direct eigenvalues differ by up to 2.1e-2 and
 3.0e-6 there (after matching).  Both have the solver's residual against
 H(k).
 
-The dense solves of a sweep run on a ``concurrent.futures`` thread pool,
-one thread per CPU available to the process, while OpenBLAS is pinned to
-one thread; on one CPU, or without an OpenBLAS thread setter, they run in
-turn on the calling thread.  Each solve is then single-threaded, so the
-bands do not depend on the number of CPUs or on ``OPENBLAS_NUM_THREADS``;
-a threaded solve rounds differently, and the conditioning above amplifies
-that.
+The dense solves of a sweep run on a ``concurrent.futures`` pool of one
+thread per CPU available to the process, but no more than the solves,
+while OpenBLAS is pinned to one thread; with one CPU or one solve, or
+without an OpenBLAS thread setter, they run on the calling thread.  Each
+solve is then single-threaded, so the bands do not depend on the number of
+CPUs or on ``OPENBLAS_NUM_THREADS``; a threaded solve rounds differently,
+and the conditioning above amplifies that.
 
 Bands of one solve share its eigenvalues and edge flags.  Eigenvectors
 are kept only for the bands the caller names (``keep_vectors``, all by
@@ -37,12 +37,9 @@ flags, so a sweep holds one (2N)^2 solve per thread plus the kept bands,
 not one matrix per momentum.
 """
 
-from __future__ import annotations
-
 import ctypes
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
@@ -140,13 +137,19 @@ def ribbon_hamiltonian(p: ModelParams, open_axis: str, n_cells: int,
     return real_space_hamiltonian(p, n_cells, n_cells, bc=bc, transverse_k=transverse_k)
 
 
-def _ribbon_bc(open_axis: str, n_cells: int) -> tuple[str, str]:
-    """The (x, y) boundary conditions of a ribbon, once its axis and width are checked."""
+def _x_open(open_axis: str) -> bool:
+    """Whether the ribbon is open along x; ValueError unless the axis is 'x' or 'y'."""
     if open_axis not in ("x", "y"):
         raise ValueError(f"open_axis must be 'x' or 'y', got {open_axis!r}")
+    return open_axis == "x"
+
+
+def _ribbon_bc(open_axis: str, n_cells: int) -> tuple[str, str]:
+    """The (x, y) boundary conditions of a ribbon, once its axis and width are checked."""
+    x_open = _x_open(open_axis)
     if n_cells < 8:
         raise ValueError("need at least 8 cells across the ribbon")
-    return ("open", "periodic") if open_axis == "x" else ("periodic", "open")
+    return ("open", "periodic") if x_open else ("periodic", "open")
 
 
 def _localize(vecs: np.ndarray, n_cells: int):
@@ -171,6 +174,8 @@ def localization(vec, n_cells: int) -> LocalizationReport:
     v = np.asarray(vec, dtype=complex)
     if v.shape != (2 * n_cells,):
         raise ValueError(f"expected a vector of length {2 * n_cells}, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("vector has a non-finite entry")
     ipr, com, side = _localize(v[:, None], n_cells)
     return LocalizationReport(ipr=float(ipr[0]), center_of_mass=float(com[0]),
                               side=side[0])
@@ -222,24 +227,28 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread and yield the number of solver threads.
+def _solve_all(solve, groups) -> list:
+    """``solve`` of every group, in order, with OpenBLAS pinned to one thread.
 
-    The previous thread counts are restored on exit, also when a solve
-    raises.  Without a thread setter the sweep runs on the calling thread
-    alone, so solver threads never compete with BLAS threads.
+    The solves share min(CPUs, groups) threads, or run on the calling thread
+    alone when there is no thread setter.  Either map raises the first
+    failure in group order, the pool once joined; the counts are restored.
     """
     calls = _blas_thread_calls()
     if not calls:
-        yield 1
-        return
+        return list(map(solve, groups))
     with _BLAS_LOCK:
         before = [get() for get, _ in calls]
         for _, set_ in calls:
             set_(1)
         try:
-            yield _worker_count()
+            workers = min(_worker_count(), len(groups))
+            # serial, not a one-thread pool: that thread's malloc arena adds ~6 % peak RSS
+            if workers <= 1:
+                return list(map(solve, groups))
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(workers) as pool:
+                return list(pool.map(solve, groups))
         finally:
             for (_, set_), count in zip(calls, before):
                 set_(count)
@@ -260,13 +269,13 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
     (None, the default, keeps all); the other bands carry
     ``eigenvectors=None``.  A kept band shares the read-only vectors of its
     solve, except that a partner across pi gets its own gauge-mapped copy;
-    no copy is made for a dropped one.  The solves run on a thread pool
-    with OpenBLAS pinned to one thread, and each drops its unkept vectors
-    at once (all in the module docstring), so the bands do not depend on
-    the number of CPUs and the memory not on the number of momenta.  Of
-    failed solves, the one at the least momentum modulo pi raises, once
-    every solve has stopped.  The ribbon's size and axis are checked before
-    any matrix is built, also for an empty ``k_values``.
+    no copy is made for a dropped one.  The solves run on min(CPUs, solves)
+    threads (a lone solve on the calling thread) with OpenBLAS pinned to
+    one thread, each dropping its unkept vectors at once (module docstring):
+    the bands do not depend on the number of CPUs, the memory not on the
+    number of momenta.  Of failed solves, the one at the least momentum
+    modulo pi raises once every solve has stopped.  The ribbon's size and
+    axis are checked before any matrix is built, even for no ``k_values``.
     """
     if 2 * n_cells > MAX_DENSE_DIM:
         raise ValueError(f"dense solver limited to dim <= {MAX_DENSE_DIM}, got {2 * n_cells}")
@@ -294,17 +303,8 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
         right = None if keep.isdisjoint(group) else es.right
         return at, es.eigenvalues, right, _localize(es.right, n_cells)[2]
 
-    # either map raises the first failure in group order; the pool joins first
-    with _one_blas_thread() as workers:
-        # serial, not a one-thread pool: that thread's malloc arena adds ~6 % peak RSS
-        if workers == 1:
-            results = list(map(solve, groups))
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(workers) as pool:
-                results = list(pool.map(solve, groups))
     bands = [None] * len(ks)
-    for group, (at, lam, right, flags) in zip(groups, results):
+    for group, (at, lam, right, flags) in zip(groups, _solve_all(solve, groups)):
         lam.flags.writeable = False
         for i in group:
             vecs = None
@@ -325,7 +325,7 @@ def bulk_gap_interval(p: ModelParams, open_axis: str,
     empty or inverted interval means no gap.
     """
     ks = _k_grid(_GAP_NK)
-    if open_axis == "x":
+    if _x_open(open_axis):
         plus, minus = dispersion(p, ks, transverse_k)
     else:
         plus, minus = dispersion(p, transverse_k, ks)

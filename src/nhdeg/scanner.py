@@ -12,8 +12,6 @@ squares provides the zero curves of Re eta, Im eta and of the band
 real/imaginary parts (the r-Fermi and i-Fermi loci).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np

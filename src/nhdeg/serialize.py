@@ -8,8 +8,6 @@ as a leading comment line.  Floats are written with ``repr``, which
 round-trips exactly, so identical inputs produce identical bytes.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import asdict, is_dataclass
 

@@ -26,8 +26,6 @@ carries the identity parameter map; the sign-flip content of the Wick
 rotation is absorbed rather than applied twice.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

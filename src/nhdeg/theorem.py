@@ -24,8 +24,6 @@ whatever its first failing matrix would, with the stack index appended.
 ``run_ensemble`` verifies the trials of each dimension as one stack.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -31,8 +31,8 @@ def test_package_all_is_union_of_module_all():
 @pytest.mark.parametrize("path", sorted(Path(nhdeg.__file__).parent.glob("*.py")),
                          ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
-    # an import stays, unused, when the code that read it goes; `*`,
-    # __future__ and lines marked `# noqa: F401` are exempt
+    # an import stays, unused, when the code that read it goes; `*` and
+    # lines marked `# noqa: F401` are exempt
     text = path.read_text()
     lines = text.splitlines()
     tree = ast.parse(text)
@@ -40,8 +40,7 @@ def test_module_uses_every_name_it_imports(path):
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if getattr(node, "module", None) == "__future__" or any(
-                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
             continue
         imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names
                      if alias.name != "*"}

@@ -52,6 +52,25 @@ def test_localization_errors():
         localization(np.ones(10), 30)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_localization_rejects_a_non_finite_entry(bad):
+    # an all-inf or all-nan vector gave ipr = nan and side 'delocalized'
+    for v in (np.full(60, bad), np.r_[np.ones(59), bad]):
+        with pytest.raises(ValueError, match="^vector has a non-finite entry$"):
+            localization(v, 30)
+
+
+@pytest.mark.parametrize("axis", ["z", "X", "", "xy"])
+def test_gap_and_skin_metric_reject_an_unknown_axis(axis):
+    # any axis but 'x' was taken as 'y'
+    band = _band(P_TI, "x", 10, 0.0)
+    message = "^" + re.escape(f"open_axis must be 'x' or 'y', got {axis!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        bulk_gap_interval(P_TI, axis, 0.3)
+    with pytest.raises(ValueError, match=message):
+        skin_metric(P_TI, axis, band)
+
+
 def test_ribbon_hamiltonian_validation():
     with pytest.raises(ValueError):
         ribbon_hamiltonian(P_TI, "z", 30, 0.0)
@@ -335,10 +354,10 @@ def test_oversized_ribbon_is_rejected_before_any_matrix_is_built(monkeypatch):
 ])
 def test_invalid_ribbon_is_rejected_before_blas_is_pinned(monkeypatch, axis, n, message):
     # an empty sweep returned [], and a bad ribbon raised only in a solve
-    def pinned():
+    def pinned(*args):
         raise LookupError("pinned")
 
-    monkeypatch.setattr(nhdeg.ribbon, "_one_blas_thread", pinned)
+    monkeypatch.setattr(nhdeg.ribbon, "_solve_all", pinned)
     for k_values in ([], [0.0], [0.5, -0.5]):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ribbon_spectrum(P_TI, axis, n, k_values)
@@ -494,6 +513,24 @@ def test_later_failed_solve_raises_once_every_worker_stopped(monkeypatch):
     assert failed_early == [True]
     assert done == [0.0]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("k_values", [[0.7], [0.7, 0.7 + np.pi], [1.1 - np.pi, 1.1, 1.1 + np.pi]])
+def test_sweep_of_one_solve_runs_on_the_calling_thread(monkeypatch, k_values):
+    # with two CPUs a sweep started a pool thread for its one solve
+    if not nhdeg.ribbon._blas_thread_calls():
+        pytest.skip("no OpenBLAS thread setter: every sweep is serial")
+    threads = []
+    solve = nhdeg.ribbon.eigensystem_n
+
+    def recording(H, **kw):
+        threads.append(threading.current_thread())
+        return solve(H, **kw)
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: 2)
+    monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", recording)
+    ribbon_spectrum(P_TI, "y", 12, k_values)
+    assert threads == [threading.main_thread()]
 
 
 def test_without_blas_calls_the_sweep_is_serial(monkeypatch):

@@ -419,3 +419,47 @@ def test_stack_errors_name_the_first_failing_matrix():
     with pytest.raises(ValueError, match=r"expected exactly one twofold cluster, found 0 "
                                          r"\(eigenvalues array\(\[0\.5\+0\.j"):
         theorem_report(H[1], lambda0=0.5)
+
+
+def _protected_class(A):
+    """Basis of {delta : delta A = A delta^T}, the null space of that linear map."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    # the map's image of the unit matrix E_ij, one column per (i, j)
+    image = np.einsum("ai,jb->abij", eye, A) - np.einsum("aj,bi->abij", A, eye)
+    _, s, vh = np.linalg.svd(image.reshape(n * n, n * n))
+    return vh[s < 1e-10 * s[0]].conj().reshape(-1, n, n)
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_perturbations_that_keep_the_right_pair_keep_the_degeneracy(dim):
+    # with A = R J R^T, J = [[0, 1], [-1, 0]] and R^T conj(L) = 1, a delta of
+    # the class maps R into itself: (H + eps delta) R = R M with
+    # M = L^dag (H + eps delta) R and M = J M^T J^-1 = tr(M) 1 - M, so M is
+    # a scalar and the pair stays degenerate and non-defective for every
+    # eps; a bound of 1e-12 |H| is rounding.  A generic delta splits it
+    for seed in range(3):
+        H = random_degenerate_hamiltonian(dim, seed)
+        sub = extract_degenerate_subspace(H)
+        A = make_upsilon_right(sub).matrix_part
+        basis = _protected_class(A)
+        assert len(basis) == (dim - 1) ** 2
+        rng = np.random.default_rng(seed)
+        scale = np.linalg.norm(H)
+        delta = np.tensordot(rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis)),
+                             basis, 1)
+        generic = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        R = np.stack([sub.psi_r1, sub.psi_r2], axis=1)
+        L = np.stack([sub.psi_l1, sub.psi_l2], axis=1)
+        for eps in (1e-3, 1e-2, 1e-1):
+            for d, protected in ((delta, True), (generic, False)):
+                d = d * (scale / np.linalg.norm(d))
+                Hp = H + eps * d
+                mu = sub.lambda0 + eps * np.trace(L.conj().T @ d @ R) / 2
+                lam = eigensystem_n(Hp).eigenvalues
+                pair = lam[np.argsort(np.abs(lam - mu))[:2]]
+                if protected:
+                    extract_degenerate_subspace(Hp, lambda0=mu)
+                    assert np.abs(pair - mu).max() <= 1e-12 * scale, (seed, eps)
+                else:
+                    assert abs(pair[0] - pair[1]) >= 0.05 * eps * scale, (seed, eps)
