@@ -57,7 +57,7 @@ def _fro(x):
     """
     if abs(x.strides[-2]) < abs(x.strides[-1]):
         x = x.swapaxes(-1, -2)
-    return _norm(x.reshape(x.shape[:-2] + (-1,)))
+    return _norm(x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)))
 
 
 def _item(x):

@@ -329,7 +329,7 @@ def phase_classify(p: ModelParams, tol: float = 1e-9) -> str:
     Valid for gapped-gamma parameters (0 < gamma < pi/2, gx = gy = 0).
     Returns 'boundary_gapless' within ``tol`` of a boundary,
     'topological_insulator' strictly between v1 and v2, and
-    'band_insulator' outside.
+    'band_insulator' outside.  Raises ``ValueError`` unless 0 <= tol < inf.
     """
     return str(_phase_labels(p, p.v, tol))
 
@@ -340,6 +340,8 @@ def _phase_labels(p: ModelParams, v, tol: float) -> np.ndarray:
         raise ValueError(f"phase_classify requires 0 < gamma < pi/2, got {p.gamma}")
     if p.gx != 0.0 or p.gy != 0.0:
         raise ValueError("phase_classify requires gx = gy = 0")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"phase_classify requires a finite tol >= 0, got {tol!r}")
     v1, v2 = phase_boundaries(p)
     lo, hi = min(v1, v2), max(v1, v2)
     labels = np.where((lo < v) & (v < hi), "topological_insulator", "band_insulator")

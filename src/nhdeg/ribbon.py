@@ -261,9 +261,10 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
     Eigenvalues per momentum are sorted ascending by real part (ties by
     imaginary part); edge flags are attached per state.
 
-    Requested momenta that agree modulo pi (within 1e-12) share one dense
-    solve, made at the first of them whose wrapped value lies in [0, pi);
-    a momentum in [-pi, 0) without such a partner is solved directly.
+    Requested momenta are sorted modulo pi, and sorted neighbours within
+    1e-12 chain into one group that shares one dense solve, made at the
+    first of them whose wrapped value lies in [0, pi); a momentum in
+    [-pi, 0) without such a partner is solved directly.
     Bands from one solve share its read-only eigenvalues.  ``keep_vectors``
     holds the indices into ``k_values`` whose bands keep their eigenvectors
     (None, the default, keeps all); the other bands carry
@@ -275,12 +276,16 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
     the bands do not depend on the number of CPUs, the memory not on the
     number of momenta.  Of failed solves, the one at the least momentum
     modulo pi raises once every solve has stopped.  The ribbon's size and
-    axis are checked before any matrix is built, even for no ``k_values``.
+    axis, and that every momentum is finite, are checked before any matrix
+    is built, even for no ``k_values``.
     """
     if 2 * n_cells > MAX_DENSE_DIM:
         raise ValueError(f"dense solver limited to dim <= {MAX_DENSE_DIM}, got {2 * n_cells}")
     _ribbon_bc(open_axis, n_cells)
     ks = [float(k) for k in k_values]
+    bad_k = [k for k in ks if not np.isfinite(k)]
+    if bad_k:
+        raise ValueError(f"transverse momentum must be finite, got {bad_k[0]}")
     keep = set(range(len(ks))) if keep_vectors is None else set(keep_vectors)
     bad = keep - set(range(len(ks)))
     if bad:
@@ -290,12 +295,8 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
     lower = wrapped < 0
     rep = np.where(lower, wrapped + np.pi, wrapped)
     u = _gauge_signs(p, n_cells)
-    groups = []
-    for i in np.argsort(rep, kind="stable").tolist():
-        if groups and rep[i] - rep[groups[-1][0]] <= _SAME_K_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    order = np.argsort(rep, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(rep[order]) > _SAME_K_TOL) + 1) if ks else []
 
     def solve(group):
         at = next((i for i in group if not lower[i]), group[0])

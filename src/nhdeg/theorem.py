@@ -24,6 +24,7 @@ whatever its first failing matrix would, with the stack index appended.
 ``run_ensemble`` verifies the trials of each dimension as one stack.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +138,16 @@ class AntiunitaryOperator:
 def extract_degenerate_subspace(H, lambda0=None) -> DegenerateSubspace:
     """Locate a twofold degenerate eigenvalue of H and return its subspace.
 
-    Eigenvalues within ``_CLUSTER_TOL * norm(H)`` of each other form a
-    cluster; the unique cluster of size two is used unless ``lambda0``
-    selects one explicitly.  The pair is re-biorthogonalized through its
-    2x2 Gram system, since a dense solver returns an arbitrary mixture for
-    exactly equal eigenvalues.  Raises for defective input.  H may be a
-    stack ``(..., n, n)``, with ``lambda0`` one value or one per matrix; a
-    stack raises if any of its matrices would.
+    In (Re, Im) order, neighbouring eigenvalues closer than
+    ``_CLUSTER_TOL * norm(H)`` chain into one cluster; exactly one cluster
+    of size two must exist (near ``lambda0``, if given), and it is used.
+    The pair is re-biorthogonalized through its 2x2 Gram system, since a
+    dense solver returns an arbitrary mixture for exactly equal
+    eigenvalues.  Raises for input that ``eigensystem_n`` flags defective;
+    no separate Gram check is made, as a pair whose Gram matrix nears
+    singular is flagged there first.  H may be a stack ``(..., n, n)``,
+    with ``lambda0`` one value or one per matrix; a stack raises if any of
+    its matrices would.
     """
     H = np.asarray(H, dtype=complex)
     es = eigensystem_n(H)
@@ -152,37 +156,25 @@ def extract_degenerate_subspace(H, lambda0=None) -> DegenerateSubspace:
     lam = es.eigenvalues
     scale = np.maximum(1.0, _fro(H))
     radius = _CLUSTER_TOL * scale
-    near = None if lambda0 is None else np.maximum(radius, 1e-6 * scale)
 
-    # clusters grow from their first eigenvalue in (Re, Im) order; record
-    # the start of each cluster of exactly two (near lambda0, if given)
-    n = lam.shape[-1]
-    start = np.zeros(lam.shape[:-1], dtype=int)
-    first = np.zeros_like(start)
-    n_pairs = np.zeros_like(start)
-    for stop in range(1, n + 1):
-        lam_start = np.take_along_axis(lam, start[..., None], -1)[..., 0]
-        closed = (stop == n) | ~(_abs(lam[..., min(stop, n - 1)] - lam_start) < radius)
-        pair = closed & (stop - start == 2)
-        if near is not None:
-            pair &= _abs(lam_start - lambda0) < near
-        first = np.where(pair, start, first)
-        n_pairs += pair
-        start = np.where(closed, stop, start)
+    # sorted neighbours closer than the radius chain into one cluster; a
+    # twofold cluster is a close pair whose outer neighbours are not close
+    close = _abs(np.diff(lam, axis=-1)) < radius[..., None]
+    apart = ~np.pad(close, [(0, 0)] * (close.ndim - 1) + [(1, 1)])
+    pair = close & apart[..., :-2] & apart[..., 2:]
+    if lambda0 is not None:
+        near = np.maximum(radius, 1e-6 * scale)
+        pair &= _abs(lam[..., :-1] - np.asarray(lambda0)[..., None]) < near[..., None]
+    n_pairs = pair.sum(axis=-1)
     _check(n_pairs != 1, ValueError, lambda i: (
         f"expected exactly one twofold cluster, found {n_pairs[i]} "
         f"(eigenvalues {lam[i]!r})"))
-    cols = first[..., None] + np.arange(2)
+    cols = np.argmax(pair, axis=-1)[..., None] + np.arange(2)
     # orthonormalize the right pair (a free gauge on an exact eigenspace);
     # Hermitian inputs then reduce to psi_L = psi_R identically
     R = np.linalg.qr(_take_columns(es.right, cols))[0]
     L = _take_columns(es.left, cols)
-    G = _adjoint(L) @ R
-    svals = np.linalg.svd(G, compute_uv=False)
-    _check(svals[..., -1] < 1e-8 * np.maximum(1.0, svals[..., 0]), ValueError, lambda i: (
-        f"degenerate pair is defective: Gram matrix is singular "
-        f"(singular values {svals[i]!r})"))
-    L = L @ _adjoint(np.linalg.inv(G))
+    L = L @ _adjoint(np.linalg.inv(_adjoint(L) @ R))
     lam0 = _item(np.take_along_axis(lam, cols, -1).mean(axis=-1))
     sub = DegenerateSubspace(lam0, R[..., 0], R[..., 1], L[..., 0], L[..., 1])
     sub.validate(H)
@@ -320,6 +312,7 @@ def random_degenerate_hamiltonian(dim: int, seed, lambda0=0.5 + 0.5j,
     seed keeps its own generator; the cond(S) test and the products run on
     the whole stack).
     """
+    dim = operator.index(dim)
     if not 2 <= dim <= MAX_DIM:
         raise ValueError(f"dim must be in [2, {MAX_DIM}], got {dim}")
     seeds = np.asarray(seed)
@@ -393,11 +386,12 @@ def run_ensemble(dims=(2, 3, 4, 5, 6, 7, 8), trials: int = 500, seed: int = 0,
     Returns per-check maxima and a pass flag against ``bound`` (residuals
     are relative to |H|).  With ``inject_defective`` every matrix carries a
     Jordan block instead, and the report counts how many trials were
-    correctly rejected.  Raises ``ValueError`` for fewer than one trial, no
+    correctly rejected.  Raises ``TypeError`` for a trial count or dimension
+    that is not an integer, ``ValueError`` for fewer than one trial, no
     dimensions or a dimension outside [2, MAX_DIM] (``MAX_DIM`` = 64 bounds
     the generator), and for a bound that is not finite and positive.
     """
-    dims = tuple(dims)
+    dims, trials = tuple(map(operator.index, dims)), operator.index(trials)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if not dims or min(dims) < 2 or max(dims) > MAX_DIM:

@@ -428,6 +428,16 @@ def test_phase_classify_regions():
     assert phase_classify(p.replace(v=v2)) == "boundary_gapless"
 
 
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_phase_classify_rejects_a_tolerance_the_cli_rejects(tol):
+    # -1 and nan labelled v = v2 band_insulator, inf labelled every v
+    # boundary_gapless
+    p = ModelParams(t1=0.75, ga=0.5, gb=0.5, gamma=0.5)
+    v2 = phase_boundaries(p)[1]
+    with pytest.raises(ValueError, match="^phase_classify requires a finite tol >= 0, got "):
+        phase_classify(p.replace(v=v2), tol=tol)
+
+
 def test_phase_classify_regime_guard():
     with pytest.raises(ValueError):
         phase_classify(ModelParams(t1=0.75, gamma=0.0))

@@ -288,6 +288,22 @@ def test_one_solve_per_momentum_pair(monkeypatch):
         assert len(calls) == 4
 
 
+def test_chained_momenta_share_one_solve(monkeypatch):
+    # sorted neighbours within 1e-12 chain into one group, although its ends
+    # lie farther apart than that
+    calls = []
+    solve = nhdeg.ribbon.eigensystem_n
+
+    def counting(H, **kw):
+        calls.append(H.shape)
+        return solve(H, **kw)
+
+    monkeypatch.setattr(nhdeg.ribbon, "eigensystem_n", counting)
+    bands = ribbon_spectrum(P_TI, "x", 8, [0.0, 0.6e-12, 1.2e-12])
+    assert len(calls) == 1
+    assert [b.transverse_k for b in bands] == [0.0, 0.6e-12, 1.2e-12]
+
+
 # index 0 (k = -pi) is mapped from 4 (k = 0); 2 and 10 (k = -pi/2) are mapped
 # from 6 (k = pi/2), which 9 shares; 8 (k = 1.0) is a solve of its own
 _KEEP_K = _k_grid(8).tolist() + [1.0, np.pi / 2, -np.pi / 2]
@@ -361,6 +377,16 @@ def test_invalid_ribbon_is_rejected_before_blas_is_pinned(monkeypatch, axis, n, 
     for k_values in ([], [0.0], [0.5, -0.5]):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ribbon_spectrum(P_TI, axis, n, k_values)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_momentum_is_rejected_before_blas_is_pinned(monkeypatch, bad):
+    def pinned(*args):
+        raise LookupError("pinned")
+
+    monkeypatch.setattr(nhdeg.ribbon, "_solve_all", pinned)
+    with pytest.raises(ValueError, match=f"^transverse momentum must be finite, got {bad}$"):
+        ribbon_spectrum(P_TI, "x", 10, [0.3, bad])
 
 
 def test_singleton_momentum_is_a_direct_solve():
