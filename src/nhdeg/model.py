@@ -44,8 +44,19 @@ X2_POINTS = ((np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2))
 
 
 def _k_grid(n: int) -> np.ndarray:
-    """The n uniform momenta -pi + 2 pi j / n of one torus axis, in [-pi, pi)."""
-    return -np.pi + 2 * np.pi * np.arange(n) / n
+    """The n uniform momenta -pi + 2 pi j / n of one torus axis, in [-pi, pi).
+
+    The grid is mirror-exact: k[n - j] is -k[j] bit for bit for 0 < j < n
+    and j != n / 2, and k[n / 2] is 0 for even n, so on it the rows ky and
+    -ky of a field even in ky hold the same bits.  The momenta in (0, pi)
+    keep the bits of the formula, those in (-pi, 0) are their negatives, and
+    each lies within one ulp of 2 pi of -pi + 2 pi j / n.
+    """
+    k = -np.pi + 2 * np.pi * np.arange(n) / n
+    k[1:(n + 1) // 2] = -k[:n // 2:-1]
+    if n > 0 and n % 2 == 0:
+        k[n // 2] = 0.0
+    return k
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ from . import __version__
 
 FORMAT = "nhdeg/1"
 
+# float64 bits: all but the sign bit, and the bits of inf (above them, a NaN)
+_MAGNITUDE = np.uint64(2 ** 63 - 1)
+_INF_BITS = np.float64(np.inf).view(np.uint64)
+
 __all__ = [
     "FORMAT",
     "write_json",
@@ -67,10 +71,9 @@ def _lines(n: int, *columns) -> str:
 def write_vector_field_csv(path, field) -> None:
     """CSV export of a discriminant field, row-major with ky outer, row by row.
 
-    Each row's floats become text once: row m, if its bits equal row ny - m's
-    (as when eta is even in ky), keeps its re and im texts as two joined
-    strings until row ny - m reuses them.  Values not of shape
-    (ky.size, kx.size) raise before the file is opened.
+    Rows m and ny - m are formatted together (``_field_rows``), and each
+    value's text is its ``repr``.  Values not of shape (ky.size, kx.size)
+    raise before the file is opened.
     """
     grid = (field.ky.size, field.kx.size)
     if field.values.shape != grid:
@@ -79,16 +82,39 @@ def write_vector_field_csv(path, field) -> None:
 
 
 def _field_rows(field):
-    """The text of each row of the field, one mirror-twin pair formatted once."""
-    kx, values, twins = [repr(x) for x in field.kx.tolist()], field.values, {}
-    for m, (y, row) in enumerate(zip(map(repr, field.ky.tolist()), values)):
-        if m in twins:
-            re, im = (text.split(",") for text in twins.pop(m))
+    """The text of each row of the field; rows m and ny - m become text together.
+
+    On the mirror-exact torus grid row ny - m sits at -ky of row m, so when
+    eta is even in ky the two rows hold the same bits, and when it is odd
+    their values differ only in sign.  Row ny - m's texts wait, joined, until
+    that row is written.
+    """
+    kx, values, held = [repr(x) for x in field.kx.tolist()], field.values, {}
+    ny = len(values)
+    for m, y in enumerate(map(repr, field.ky.tolist())):
+        if m in held:
+            re, im = (text.split(",") for text in held.pop(m))
         else:
-            re, im = (list(map(repr, part.tolist())) for part in (row.real, row.imag))
-            if 0 < m < len(values) - m and row.tobytes() == values[-m].tobytes():
-                twins[len(values) - m] = (",".join(re), ",".join(im))
+            (re, im), *twin = _reprs(values[[m, ny - m] if 0 < m < ny - m else [m]])
+            if twin:
+                held[ny - m] = tuple(map(",".join, twin[0]))
         yield _lines(len(kx), kx, y, re, im)
+
+
+def _reprs(block):
+    """The repr texts of the real and imaginary parts of each row of a block.
+
+    ``repr`` runs once per distinct magnitude (the bits with the sign bit
+    cleared); a value whose sign bit is set gets a leading "-", unless it is
+    a NaN, whose repr has no sign.
+    """
+    bits = np.stack((block.real, block.imag), axis=1, dtype=float).view(np.uint64)
+    mags = bits & _MAGNITUDE
+    uniq, inv = np.unique(mags.ravel(), return_inverse=True)
+    texts = list(map(repr, uniq.view(float).tolist()))
+    table = np.array(texts + ["-" + text for text in texts], dtype=object)
+    negative = (bits != mags) & (mags <= _INF_BITS)
+    return table[inv.reshape(bits.shape) + len(texts) * negative].tolist()
 
 
 def write_band_csv(path, bands, dump_vectors: bool = False) -> None:

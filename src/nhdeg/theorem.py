@@ -169,6 +169,10 @@ def extract_degenerate_subspace(H, lambda0=None) -> DegenerateSubspace:
     _check(n_pairs != 1, ValueError, lambda i: (
         f"expected exactly one twofold cluster, found {n_pairs[i]} "
         f"(eigenvalues {lam[i]!r})"))
+    if not n_pairs.size:
+        # an empty stack has no pair to take, whatever the size of its matrices
+        empty = np.zeros(H.shape[:-1], complex)
+        return DegenerateSubspace(np.zeros(H.shape[:-2], complex), empty, empty, empty, empty)
     cols = np.argmax(pair, axis=-1)[..., None] + np.arange(2)
     # orthonormalize the right pair (a free gauge on an exact eigenspace);
     # Hermitian inputs then reduce to psi_L = psi_R identically

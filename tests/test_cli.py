@@ -124,6 +124,63 @@ def test_vector_field_csv_matches_row_writer(tmp_path):
         assert path.read_text() == expected
 
 
+def _field_csv_oracle(fld):
+    """field.csv as one repr per value: the byte oracle of the pair writer."""
+    return f"# format={FORMAT}\nkx,ky,re_eta,im_eta\n" + "".join(
+        f"{x!r},{y!r},{z.real!r},{z.imag!r}\n"
+        for y, row in zip(fld.ky.tolist(), fld.values.tolist())
+        for x, z in zip(fld.kx.tolist(), row))
+
+
+_DIAG = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
+# the README regimes, the topological ribbon and the nearest-neighbour
+# gamma = 0 recipe, as the benchmark scans them
+FIELD_RECIPES = {
+    "pinned": ModelParams(gamma=0.5, gx=0.5, gy=0.3),
+    "closure": _DIAG.replace(v=phase_boundaries(_DIAG)[1]),
+    "coexist0": _DIAG.replace(gamma=0.0),
+    "coexist_pi2": _DIAG.replace(gamma=np.pi / 2),
+    "topo": _DIAG,
+    "fermi": ModelParams(gamma=0.0, gx=0.5, gy=0.3),
+}
+
+
+@pytest.mark.parametrize("n", [16, 41, 64, 301])
+@pytest.mark.parametrize("recipe", FIELD_RECIPES)
+def test_vector_field_csv_matches_repr_oracle_on_the_recipes(tmp_path, recipe, n):
+    fld = scan_discriminant(FIELD_RECIPES[recipe], n, n)
+    path = tmp_path / "field.csv"
+    write_vector_field_csv(path, fld)
+    # compared as lines, so a failure names the first differing line cheaply
+    assert path.read_text().splitlines() == _field_csv_oracle(fld).splitlines()
+
+
+def test_vector_field_csv_matches_repr_oracle_on_special_values(tmp_path):
+    # rows m and 8 - m are formatted together, row 4 alone
+    nan_payload = np.array([0x7FF8000000000001], np.uint64).view(float)[0]
+    specials = [0.0, -0.0, np.inf, -np.inf, np.copysign(np.nan, -1.0), np.nan, nan_payload,
+                5e-324, -5e-324, -2.2250738585072e-309, 1e16, -1e16, 1.5, -1.5, 0.1, -0.1]
+    rng = np.random.default_rng(11)
+    values = np.empty((8, 8), complex)
+    values.real = rng.choice(specials, (8, 8))
+    values.imag = rng.choice(specials, (8, 8))
+    values[0].real, values[0].imag = specials[:8], specials[8:]
+    values[7] = values[1]          # twins bit for bit
+    values[6] = -values[2]         # twins of opposite sign
+    values[5] = values[3]          # twins but for the sign of a zero and of a nan
+    values[5, 0], values[5, 1] = complex(-0.0, np.nan), complex(np.copysign(np.nan, -1.0), 0.0)
+    values[3, 0], values[3, 1] = complex(0.0, np.nan), complex(np.nan, -0.0)
+    fld = ScalarField(kx=np.linspace(-np.pi, np.pi, 8, endpoint=False), ky=rng.uniform(-3, 3, 8),
+                      values=values)
+    expected = _field_csv_oracle(fld)
+    for text in ("-0.0", "-inf", "5e-324", "-2.2250738585072e-309", "-1e+16", "-1.5", "nan"):
+        assert f",{text}," in expected or f",{text}\n" in expected, text
+    assert "-nan" not in expected
+    path = tmp_path / "field.csv"
+    write_vector_field_csv(path, fld)
+    assert path.read_text() == expected
+
+
 def test_vector_field_csv_rejects_values_off_the_grid(tmp_path):
     # 4 kx by 3 ky labels over 3x3 values: nothing is written
     kx, ky = np.linspace(-np.pi, np.pi, 4, endpoint=False), np.zeros(3)

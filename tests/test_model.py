@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +222,22 @@ def test_d_vector_derivatives_match_central_differences():
             np.testing.assert_allclose(exact, (plus - minus) / (2 * h), atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 51, 64, 301, 1001])
+def test_k_grid_is_mirror_exact(n):
+    k = _k_grid(n)
+    assert k.shape == (n,) and k[0] == -np.pi
+    assert np.all(np.diff(k) > 0)
+    j = np.arange(1, n)
+    j = j[2 * j != n]
+    assert k[n - j].tobytes() == (-k[j]).tobytes()
+    if n % 2 == 0:
+        assert k[n // 2] == 0.0 and not np.signbit(k[n // 2])
+    # exact rational arithmetic with the float pi of the formula
+    pi = Fraction(np.pi)
+    error = max(abs(Fraction(x) - (-pi + 2 * pi * i / n)) for i, x in enumerate(k.tolist()))
+    assert error <= Fraction(np.spacing(2 * np.pi))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_discriminant_is_bitwise_even_in_ky_without_onsite_terms(seed):
     # write_vector_field_csv formats the mirror rows ky and -ky of eta once:
@@ -228,7 +245,7 @@ def test_discriminant_is_bitwise_even_in_ky_without_onsite_terms(seed):
     k = _k_grid(301)
     rows = np.arange(1, 301)
     rows = rows[k[301 - rows] == -k[rows]]
-    assert rows.size == 144
+    assert rows.size == 300
     p = random_params(np.random.default_rng(seed))
     offsite = p.replace(v=0.0, mu_a=0.0, mu_b=0.0)
     for q in (offsite, offsite.replace(v=p.v), offsite.replace(mu_a=p.mu_a),

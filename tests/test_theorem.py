@@ -180,6 +180,17 @@ def test_an_empty_stack_gives_empty_results():
     assert report["max_residual"].shape == (0,)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_empty_stack_gives_empty_results(n):
+    # a stack of 1x1 matrices has no eigenvalue pair to look at; empty, it
+    # still has nothing to reject
+    sub = extract_degenerate_subspace(np.zeros((0, n, n)))
+    assert sub.lambda0.shape == (0,) and sub.psi_r1.shape == sub.psi_l2.shape == (0, n)
+    report = theorem_report(np.zeros((0, n, n)))
+    assert report["lambda0"].shape == report["max_residual"].shape == (0,)
+    assert all(np.shape(r) == (0,) for r in report["max_residuals"].values())
+
+
 def test_sizes_must_be_integers_before_any_draw(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a random number")
