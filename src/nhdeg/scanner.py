@@ -50,8 +50,9 @@ _MAX_STEPS = 50
 # line (kx = 0, or the seam kx = -pi ~ pi) across a step boundary
 _SORT_STEPS = 2 ** 20
 # eta is sampled in blocks of whole ky rows of about this many points, so the
-# (4, rows, nx) Pauli sums stay small beside the grid itself
-_BLOCK_POINTS = 2 ** 14
+# (4, rows, nx) Pauli sums stay below the mirror-row text that field.csv's
+# writer holds, and far below the grid itself
+_BLOCK_POINTS = 2 ** 13
 
 _TWO_PI = 2.0 * np.pi
 
@@ -156,14 +157,18 @@ def scan_discriminant(p: ModelParams, nx: int = 501, ny: int = 501) -> ScalarFie
 
 
 def _sign_change_cells(values: np.ndarray) -> np.ndarray:
-    """Cells (iy, ix) whose corners change sign in Re and in Im (torus wrap)."""
-    # corner min and max pairwise: the right neighbour, then the row below;
-    # np.minimum and np.maximum propagate NaN, so a NaN corner never counts
+    """Cells (iy, ix) whose corners change sign in Re and in Im (torus wrap).
+
+    A component changes sign on a cell when some corner is <= 0, some corner
+    is >= 0 and no corner is NaN; each test is a one-byte mask, its four
+    corners read from one wrap-padded copy.
+    """
+    def any_corner(mask):
+        m = np.pad(mask, ((0, 1), (0, 1)), mode="wrap")
+        return m[:-1, :-1] | m[:-1, 1:] | m[1:, :-1] | m[1:, 1:]
+
     def changes(comp):
-        lo = np.minimum(comp, np.roll(comp, -1, axis=1))
-        hi = np.maximum(comp, np.roll(comp, -1, axis=1))
-        return ((np.minimum(lo, np.roll(lo, -1, axis=0)) <= 0.0)
-                & (np.maximum(hi, np.roll(hi, -1, axis=0)) >= 0.0))
+        return any_corner(comp <= 0.0) & any_corner(comp >= 0.0) & ~any_corner(np.isnan(comp))
 
     return np.argwhere(changes(values.real) & changes(values.imag))
 

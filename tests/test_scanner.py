@@ -52,7 +52,8 @@ def test_scan_minimum_size():
 
 
 @pytest.mark.parametrize("budget,nx,ny", [
-    (None, 121, 121),   # the default budget: one block
+    (None, 64, 64),     # the default budget: one block
+    (None, 121, 121),   # the default budget: two blocks
     (None, 16, 2000),   # the default budget over many rows
     (48, 16, 37),       # 3-row blocks; 37 rows leave a 1-row tail
     (10, 17, 20),       # a budget below nx: one row per block
@@ -887,6 +888,7 @@ def sign_change_fields(rng):
         holes = noise.copy()
         holes.flat[rng.integers(0, holes.size, max(1, holes.size // 10))] = np.nan
         holes.flat[rng.integers(0, holes.size, max(1, holes.size // 10))] = -np.inf
+        holes.flat[rng.integers(0, holes.size, max(1, holes.size // 10))] = np.inf
         parts = (noise, ties, zeros, holes, signed_zeros, np.zeros(shape))
         for re in parts:
             for im in parts:
