@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .model import _k_grid, _phase_labels, load_params, phase_boundaries
-from .ribbon import localization, obc_defective_check, ribbon_spectrum, skin_metric
+from .ribbon import LocalizationReport, obc_defective_check, ribbon_spectrum, skin_metric
 from .scanner import scan_discriminant  # noqa: F401 (perfbench reads it)
 from .scanner import NEWTON_TOL, find_degeneracies
 from .serialize import write_band_csv, write_json, write_phases_csv, write_vector_field_csv
@@ -67,7 +67,7 @@ def _add_common(sub):
 
 
 def _outpath(args, name):
-    os.makedirs(args.out, exist_ok=True)
+    # the writers make the directory once their checks pass
     return os.path.join(args.out, name)
 
 
@@ -149,10 +149,11 @@ def cmd_ribbon(args) -> int:
     dist = [(abs(abs(4 * i - 2 * nk) - nk), i) for i in range(nk)]
     mid_i = min([(d, i) for d, i in dist if 0 < 2 * d <= nk] or dist)[1]
     # the zero-mode and skin momenta cost no solve when on the grid modulo pi;
-    # only the mid, zero-mode and skin bands keep vectors unless all are dumped
+    # only the zero-mode band keeps vectors unless all are dumped, since the
+    # mid and skin bands are read through the localization every band carries
     *bands, zero_band, skin_band = ribbon_spectrum(
         p, args.axis, args.n_cells, k_values=[*k_grid.tolist(), args.zero_k, 0.0],
-        keep_vectors=None if args.dump_vectors else (mid_i, nk, nk + 1))
+        keep_vectors=None if args.dump_vectors else (nk,))
     zero = obc_defective_check(zero_band)
     mid = bands[mid_i]
     order = np.argsort(np.abs(mid.eigenvalues))[:2]
@@ -165,8 +166,9 @@ def cmd_ribbon(args) -> int:
         "zero_mode_absent": zero.absent,
         "zero_mode_eigenvalues": zero.eigenvalues,
         "skin_metric_k0": skin_metric(p, args.axis, skin_band),
-        "edge_mode_sides": {str(int(n)): localization(mid.eigenvectors[:, n], args.n_cells)
-                            for n in order},
+        "edge_mode_sides": {str(int(n)): LocalizationReport(
+            ipr=float(mid.ipr[n]), center_of_mass=float(mid.center_of_mass[n]),
+            side=mid.edge_flags[n]) for n in order},
     }
     write_band_csv(_outpath(args, "bands.csv"), bands, dump_vectors=args.dump_vectors)
     write_json(_outpath(args, "localization.json"), payload)

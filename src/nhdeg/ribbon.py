@@ -22,19 +22,21 @@ x-open one; the mapped and direct eigenvalues differ by up to 2.1e-2 and
 3.0e-6 there (after matching).  Both have the solver's residual against
 H(k).
 
-The dense solves of a sweep run on a ``concurrent.futures`` pool of one
-thread per CPU available to the process, but no more than the solves,
-while OpenBLAS is pinned to one thread; with one CPU or one solve, or
-without an OpenBLAS thread setter, they run on the calling thread.  Each
-solve is then single-threaded, so the bands do not depend on the number of
-CPUs or on ``OPENBLAS_NUM_THREADS``; a threaded solve rounds differently,
-and the conditioning above amplifies that.
+The dense solves of a sweep run on one thread per CPU available to the
+process, but no more than the solves, while OpenBLAS is pinned to one
+thread: the calling thread solves the first share of the momentum groups
+and a ``concurrent.futures`` pool of the other threads the rest; with one
+CPU or one solve, or without an OpenBLAS thread setter, the calling thread
+solves them all.  Each solve is then single-threaded, so the bands do not
+depend on the number of CPUs or on ``OPENBLAS_NUM_THREADS``; a threaded
+solve rounds differently, and the conditioning above amplifies that.
 
-Bands of one solve share its eigenvalues and edge flags.  Eigenvectors
-are kept only for the bands the caller names (``keep_vectors``, all by
-default): each thread drops a solve's vectors once it has their edge
-flags, so a sweep holds one (2N)^2 solve per thread plus the kept bands,
-not one matrix per momentum.
+Bands of one solve share its eigenvalues and the localization of its
+states (edge flags, inverse participation ratios and centers of mass).
+Eigenvectors are kept only for the bands the caller names
+(``keep_vectors``, all by default): each thread drops a solve's vectors
+once it has their localization, so a sweep holds one (2N)^2 solve per
+solving thread plus the kept bands, not one matrix per momentum.
 """
 
 import ctypes
@@ -104,15 +106,18 @@ class LocalizationReport:
 class RibbonBand:
     """Spectral data of a ribbon at one transverse momentum.
 
-    ``eigenvectors`` is None when the sweep did not keep this band's
-    vectors (see ``ribbon_spectrum``'s ``keep_vectors``); the eigenvalues
-    and ``edge_flags`` are there either way.
+    ``ipr``, ``center_of_mass`` and ``edge_flags`` hold each state's
+    ``localization``.  ``eigenvectors`` is None when the sweep did not keep
+    this band's vectors (see ``ribbon_spectrum``'s ``keep_vectors``); the
+    eigenvalues and the localization are there either way.
     """
 
     transverse_k: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     edge_flags: list
+    ipr: np.ndarray
+    center_of_mass: np.ndarray
 
     def vectors(self) -> np.ndarray:
         """The eigenvectors; ValueError naming the momentum if they were dropped."""
@@ -230,9 +235,11 @@ def _worker_count() -> int:
 def _solve_all(solve, groups) -> list:
     """``solve`` of every group, in order, with OpenBLAS pinned to one thread.
 
-    The solves share min(CPUs, groups) threads, or run on the calling thread
-    alone when there is no thread setter.  Either map raises the first
-    failure in group order, the pool once joined; the counts are restored.
+    The solves share min(CPUs, groups) threads: the calling thread solves
+    the first len(groups) // threads groups and a pool of the other threads
+    the rest, so no pool is started for one thread or when there is no
+    thread setter.  The first failure in group order is raised once the pool
+    is joined; the counts are restored.
     """
     calls = _blas_thread_calls()
     if not calls:
@@ -243,12 +250,14 @@ def _solve_all(solve, groups) -> list:
             set_(1)
         try:
             workers = min(_worker_count(), len(groups))
-            # serial, not a one-thread pool: that thread's malloc arena adds ~6 % peak RSS
             if workers <= 1:
                 return list(map(solve, groups))
             from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(workers) as pool:
-                return list(pool.map(solve, groups))
+            # the calling thread takes a share: each pool thread's malloc arena adds peak RSS
+            split = len(groups) // workers
+            with ThreadPoolExecutor(workers - 1) as pool:
+                rest = pool.map(solve, groups[split:])
+                return [*map(solve, groups[:split]), *rest]
         finally:
             for (_, set_), count in zip(calls, before):
                 set_(count)
@@ -265,19 +274,20 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
     1e-12 chain into one group that shares one dense solve, made at the
     first of them whose wrapped value lies in [0, pi); a momentum in
     [-pi, 0) without such a partner is solved directly.
-    Bands from one solve share its read-only eigenvalues.  ``keep_vectors``
-    holds the indices into ``k_values`` whose bands keep their eigenvectors
-    (None, the default, keeps all); the other bands carry
-    ``eigenvectors=None``.  A kept band shares the read-only vectors of its
-    solve, except that a partner across pi gets its own gauge-mapped copy;
-    no copy is made for a dropped one.  The solves run on min(CPUs, solves)
-    threads (a lone solve on the calling thread) with OpenBLAS pinned to
-    one thread, each dropping its unkept vectors at once (module docstring):
-    the bands do not depend on the number of CPUs, the memory not on the
-    number of momenta.  Of failed solves, the one at the least momentum
-    modulo pi raises once every solve has stopped.  The ribbon's size and
-    axis, and that every momentum is finite, are checked before any matrix
-    is built, even for no ``k_values``.
+    Bands from one solve share its read-only eigenvalues, inverse
+    participation ratios and centers of mass (the gauge map keeps every
+    |psi_i|).  ``keep_vectors`` holds the indices into ``k_values`` whose
+    bands keep their eigenvectors (None, the default, keeps all); the other
+    bands carry ``eigenvectors=None``.  A kept band shares the read-only
+    vectors of its solve, except that a partner across pi gets its own
+    gauge-mapped copy; no copy is made for a dropped one.  The solves run on
+    min(CPUs, solves) threads, the calling thread one of them, with OpenBLAS
+    pinned to one thread, each dropping its unkept vectors at once (module
+    docstring): the bands do not depend on the number of CPUs, the memory
+    not on the number of momenta.  Of failed solves, the one at the least
+    momentum modulo pi raises once every solve has stopped.  The ribbon's
+    size and axis, and that every momentum is finite, are checked before
+    any matrix is built, even for no ``k_values``.
     """
     if 2 * n_cells > MAX_DENSE_DIM:
         raise ValueError(f"dense solver limited to dim <= {MAX_DENSE_DIM}, got {2 * n_cells}")
@@ -302,18 +312,19 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
         at = next((i for i in group if not lower[i]), group[0])
         es = eigensystem_n(ribbon_hamiltonian(p, open_axis, n_cells, ks[at]), want_left=False)
         right = None if keep.isdisjoint(group) else es.right
-        return at, es.eigenvalues, right, _localize(es.right, n_cells)[2]
+        return at, es.eigenvalues, right, *_localize(es.right, n_cells)
 
     bands = [None] * len(ks)
-    for group, (at, lam, right, flags) in zip(groups, _solve_all(solve, groups)):
-        lam.flags.writeable = False
+    for group, (at, lam, right, ipr, com, flags) in zip(groups, _solve_all(solve, groups)):
+        for shared in (lam, ipr, com):
+            shared.flags.writeable = False
         for i in group:
             vecs = None
             if i in keep:
                 vecs = right if lower[i] == lower[at] else u[:, None] * right
                 vecs.flags.writeable = False
-            bands[i] = RibbonBand(transverse_k=ks[i], eigenvalues=lam,
-                                  eigenvectors=vecs, edge_flags=list(flags))
+            bands[i] = RibbonBand(transverse_k=ks[i], eigenvalues=lam, eigenvectors=vecs,
+                                  edge_flags=list(flags), ipr=ipr, center_of_mass=com)
     return bands
 
 
@@ -370,10 +381,9 @@ def skin_metric(p: ModelParams, open_axis: str, band: RibbonBand) -> float:
     States inside the bulk real-part gap at the band's momentum are
     excluded; a uniform spectrum of extended states gives roughly 1/(2N),
     boundary accumulation (the skin effect) pushes the mean far above that
-    baseline.
+    baseline.  It reads the band's ``ipr``, so the band need not keep its
+    eigenvectors.
     """
-    vecs = band.vectors()
-    ipr = _localize(vecs, vecs.shape[0] // 2)[0]
-    bulk = np.ones(ipr.size, dtype=bool)
+    bulk = np.ones(band.ipr.size, dtype=bool)
     bulk[in_gap_indices(band, bulk_gap_interval(p, open_axis, band.transverse_k))] = False
-    return float(np.mean(ipr[bulk]))
+    return float(np.mean(band.ipr[bulk]))

@@ -9,6 +9,7 @@ round-trips exactly, so identical inputs produce identical bytes.
 """
 
 import json
+import os
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -42,16 +43,23 @@ def _default(obj):
 def write_json(path, payload: dict) -> None:
     """JSON export of a payload, stamped with the format marker and the
     toolkit version.  The text is built before the file is opened, so a
-    value that cannot be encoded raises and writes nothing."""
+    value that cannot be encoded, such as a NaN or an infinity (strict JSON
+    has no token for them), raises ValueError and writes nothing."""
     doc = {"format": FORMAT, "toolkit_version": __version__, **payload}
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_default)
-    with open(path, "w") as fh:
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_default, allow_nan=False)
+    with _create(path) as fh:
         fh.write(text + "\n")
+
+
+def _create(path):
+    """``path`` opened for writing, its directory made first if missing."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    return open(path, "w")
 
 
 def _write_csv(path, header: str, chunks) -> None:
     """Write the format line, the header line, then each text chunk in turn."""
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write(f"# format={FORMAT}\n{header}\n")
         fh.writelines(chunks)
 

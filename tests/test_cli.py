@@ -221,7 +221,8 @@ def test_band_csv_matches_row_writer(tmp_path, dump_vectors):
         vecs[0, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
         flags = [["left", "right", "delocalized"][i % 3] for i in range(6)]
         bands.append(RibbonBand(transverse_k=k, eigenvalues=lam, eigenvectors=vecs,
-                                edge_flags=flags))
+                                edge_flags=flags, ipr=np.full(6, 0.5),
+                                center_of_mass=np.arange(6.0)))
     path = tmp_path / "bands.csv"
     write_band_csv(path, bands, dump_vectors=dump_vectors)
     expected = [f"# format={FORMAT}\n", "k,index,re_e,im_e,edge_flag\n"]
@@ -241,11 +242,11 @@ def test_band_csv_matches_row_writer(tmp_path, dump_vectors):
 def test_band_csv_rejects_flags_not_one_per_eigenvalue_and_writes_nothing(tmp_path):
     # the bad band comes second, so a writer that checked it late would
     # leave the header and the first band on disk
-    lam = np.arange(6.0) + 0j
+    lam, ipr = np.arange(6.0) + 0j, np.full(6, 0.5)
     bands = [RibbonBand(transverse_k=0.5, eigenvalues=lam, eigenvectors=None,
-                        edge_flags=["left"] * 6),
+                        edge_flags=["left"] * 6, ipr=ipr, center_of_mass=lam.real),
              RibbonBand(transverse_k=-0.25, eigenvalues=lam, eigenvectors=None,
-                        edge_flags=["left"] * 3)]
+                        edge_flags=["left"] * 3, ipr=ipr, center_of_mass=lam.real)]
     path = tmp_path / "bands.csv"
     with pytest.raises(ValueError, match=r"^band at transverse k = -0\.25 has 6 "
                                          r"eigenvalues, 3 edge flags$"):
@@ -281,6 +282,15 @@ def test_write_json_rejects_what_it_cannot_encode_and_writes_nothing(tmp_path, v
     with pytest.raises(TypeError):
         write_json(path, {"ok": 1.0, "value": [value]})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_write_json_rejects_non_finite_floats_and_writes_nothing(tmp_path, value):
+    # strict JSON has no NaN or Infinity token
+    path = tmp_path / "out" / "doc.json"
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        write_json(path, {"ok": 1.0, "value": [value]})
+    assert not path.parent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +491,23 @@ def test_cli_rejects_bad_params_file(tmp_path, capsys, command, text, lineno, me
     out = tmp_path / "out"
     assert main([command, "--params", str(bad), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {bad}:{lineno}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_cli_symmetry_rejects_non_finite_residuals_and_writes_nothing(tmp_path, capsys):
+    # t = 1e200 overflows the survey: symmetry.json held NaN and Infinity
+    # tokens (eta_X1, right_residual), which strict JSON parsers reject, and
+    # the command exited 0 with "holding = none"
+    pf = tmp_path / "p.txt"
+    save_params(ModelParams(t=1e200, t1=0.75, ga=0.5, gb=0.3, gamma=0.5), pf)
+    out = tmp_path / "out"
+    assert main(["symmetry", "--params", str(pf), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: Out of range float values are not JSON compliant.*\n",
+                        captured.err)
     assert not out.exists()
 
 
@@ -823,8 +850,8 @@ def test_cli_ribbon_dump_vectors_changes_no_other_output(tmp_path, axis, gamma):
 
 
 def test_cli_ribbon_memory_is_bounded_by_the_workers(tmp_path, monkeypatch):
-    # without --dump-vectors only the mid, zero-mode and skin bands keep
-    # their vectors, so the peak is a few (2N)^2 matrices per worker rather
+    # without --dump-vectors only the zero-mode band keeps its vectors, so
+    # the peak is a few (2N)^2 matrices per worker rather
     # than two per solved momentum pair (about 71 of them here)
     pf = tmp_path / "p.txt"
     save_params(ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5), pf)

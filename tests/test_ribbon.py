@@ -332,10 +332,13 @@ def test_keep_vectors_out_of_range_is_rejected(keep):
 
 
 def test_band_without_vectors_names_its_momentum(tmp_path):
+    # skin_metric reads the ipr every band carries, so it needs no vectors
     band = ribbon_spectrum(P_TI, "y", 12, [0.0, 0.25], keep_vectors=(0,))[1]
-    for read in (obc_defective_check, lambda b: skin_metric(P_TI, "y", b)):
-        with pytest.raises(ValueError, match="no eigenvectors kept at transverse k = 0.25"):
-            read(band)
+    kept = ribbon_spectrum(P_TI, "y", 12, [0.0, 0.25], keep_vectors=(1,))[1]
+    assert kept.eigenvectors is not None
+    assert skin_metric(P_TI, "y", band) == skin_metric(P_TI, "y", kept)
+    with pytest.raises(ValueError, match="no eigenvectors kept at transverse k = 0.25"):
+        obc_defective_check(band)
     path = tmp_path / "bands.csv"
     with pytest.raises(ValueError, match="no eigenvectors kept at transverse k = 0.25"):
         write_band_csv(path, [band], dump_vectors=True)
@@ -418,9 +421,15 @@ def _reference_localization(v, n):
                                         (P_G0, "x", 30, np.pi / 2),
                                         (P_HERM, "y", 60, 0.0)])
 def test_batched_flags_match_per_column_localization(p, axis, n, k):
-    band = _band(p, axis, n, k)
-    R = band.eigenvectors
-    assert band.edge_flags == [localization(R[:, m], n).side for m in range(2 * n)]
+    # one of k and k + pi is solved, the other is its gauge-mapped partner;
+    # each band's localization is that of its own vectors, bit for bit
+    for band in ribbon_spectrum(p, axis, n, [k, k + np.pi]):
+        R = band.eigenvectors
+        reports = [localization(R[:, m], n) for m in range(2 * n)]
+        assert band.edge_flags == [rep.side for rep in reports]
+        assert band.ipr.tolist() == [rep.ipr for rep in reports]
+        assert band.center_of_mass.tolist() == [rep.center_of_mass for rep in reports]
+        assert not (band.ipr.flags.writeable or band.center_of_mass.flags.writeable)
     ipr, com, side = _localize(R, n)
     ref = [_reference_localization(R[:, m], n) for m in range(2 * n)]
     assert ipr.tolist() == [r[0] for r in ref]
@@ -448,12 +457,84 @@ def _set_blas_counts(counts):
 @pytest.mark.parametrize("p,axis,n", [(P_TI, "y", 30), (P_G0, "x", 16)])
 def test_bands_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, p, axis, n):
     files = []
-    for workers in (1, 2, 3):
+    for workers in (1, 2, 3, 4):
         monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: workers)
         path = tmp_path / f"bands-{workers}.csv"
         write_band_csv(path, ribbon_spectrum(p, axis, n, _k_grid(16)), dump_vectors=True)
         files.append(path.read_bytes())
-    assert files[0] == files[1] == files[2]
+    assert files[1:] == files[:1] * 3
+
+
+_GROUPS = list(range(9))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_calling_thread_solves_the_first_share(monkeypatch, workers):
+    # the calling thread solves groups[:9 // workers] and a pool of
+    # workers - 1 threads the rest; each solve sleeps, so that no pool
+    # thread is idle, and reused, before every group has been submitted
+    _blas_counts()
+    started, solvers = [], {}
+    start = threading.Thread.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    def solve(group):
+        time.sleep(0.02)
+        solvers[group] = threading.get_ident()
+        return -group
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: workers)
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    assert nhdeg.ribbon._solve_all(solve, _GROUPS) == [-g for g in _GROUPS]
+    own = [g for g in _GROUPS if solvers[g] == threading.get_ident()]
+    assert own == _GROUPS[:len(_GROUPS) // workers]
+    assert len(started) == workers - 1
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_calling_thread_failure_raises_once_the_pool_is_done(monkeypatch, workers):
+    # the calling thread's first group fails at once while the pool's first
+    # sleeps and its last fails too: the calling thread's error is raised,
+    # and only once the sleeping solve is done and the pool is gone
+    _blas_counts()
+    before = threading.active_count()
+    first_pooled = len(_GROUPS) // workers
+    done = []
+
+    def solve(group):
+        if group == 0:
+            raise RuntimeError("calling thread's solve failed")
+        if group == first_pooled:
+            time.sleep(0.2)
+            done.append(group)
+        if group == _GROUPS[-1]:
+            raise RuntimeError("pool solve failed")
+        return group
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: workers)
+    with pytest.raises(RuntimeError, match="^calling thread's solve failed$"):
+        nhdeg.ribbon._solve_all(solve, _GROUPS)
+    assert done == [first_pooled]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_pool_failure_raises_when_the_calling_share_succeeds(monkeypatch, workers):
+    _blas_counts()
+    before = threading.active_count()
+
+    def solve(group):
+        if group == _GROUPS[-1]:
+            raise RuntimeError("pool solve failed")
+        return group
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: workers)
+    with pytest.raises(RuntimeError, match="^pool solve failed$"):
+        nhdeg.ribbon._solve_all(solve, _GROUPS)
+    assert threading.active_count() == before
 
 
 def test_sweep_pins_and_restores_the_blas_thread_count(monkeypatch):
@@ -483,7 +564,7 @@ def test_failed_solve_restores_the_blas_thread_count_and_raises(monkeypatch):
     build = nhdeg.ribbon.ribbon_hamiltonian
 
     def failing(p, axis, n, k):
-        # k = pi/4 is the second of the four solves, on the second worker
+        # k = pi/4 is the second of the four solves, the calling thread's last
         if k == np.pi / 4:
             raise RuntimeError("solve failed")
         return build(p, axis, n, k)
