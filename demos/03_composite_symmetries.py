@@ -3,8 +3,8 @@
 Each touching regime carries a composite anti-unitary operation (sublattice
 swap, conjugation, translation, optionally a reflection, a diagonal
 parameter exchange and site-dependent phases).  The checks run twice: on
-the Bloch matrix over a momentum grid, and against an explicit operator
-matrix on a small periodic torus.
+the Bloch matrix, as coefficient tables of the hop list, and against an
+explicit operator matrix on a small periodic torus.
 """
 
 import numpy as np
@@ -21,15 +21,15 @@ REGIMES = {
 }
 
 for label, p in REGIMES.items():
-    survey = symmetry_survey(p, 24, 24)
+    survey = symmetry_survey(p)
     holding = ", ".join(survey["holding"]) or "none"
     print(f"{label:22s} holding: {holding}")
 
-print("\ndouble-track check (Bloch grid vs explicit 4x4 torus operator):")
+print("\ndouble-track check (Bloch hop table vs explicit 4x4 torus operator):")
 p = REGIMES["diagonal, gamma=0"]
 for name in ("upsilon", "upsilon_prime", "upsilon_doubleprime"):
     spec = builtin_spec(name)
-    rep_b = check_bloch(p, spec, 24, 24)
+    rep_b = check_bloch(p, spec)
     rep_r = check_realspace(p, spec, 4, 4)
     print(f"  {name:22s} bloch {'holds' if rep_b.holds else 'fails'} "
           f"({max(rep_b.right_residual, rep_b.left_residual):.1e})   "

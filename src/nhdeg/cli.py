@@ -112,7 +112,7 @@ def cmd_scan(args) -> int:
 
 def cmd_symmetry(args) -> int:
     p = load_params(args.params)
-    survey = symmetry_survey(p, nx=args.nx, ny=args.ny)
+    survey = symmetry_survey(p)
     write_json(_outpath(args, "symmetry.json"), {"params": p, **survey})
     print("symmetry: holding = " + (", ".join(survey["holding"]) or "none"))
     return 0
@@ -206,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     y = sub.add_parser("symmetry", help="survey the built-in symmetries")
     y.add_argument("--params", required=True)
-    y.add_argument("--nx", type=_count, default=32)
-    y.add_argument("--ny", type=_count, default=32)
     _add_common(y)
 
     phases_help = "staggered-potential phase sweep; needs 0 < gamma < pi/2 and gx = gy = 0"

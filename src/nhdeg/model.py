@@ -433,9 +433,10 @@ def linear_expansion(p: ModelParams, which_x: str) -> Expansion:
 def quadratic_expansion(p: ModelParams, center: str) -> Expansion:
     """Second-order expansion at M (gamma = 0) or Gamma (gamma = pi/2).
 
-    Requires v = gx = gy = mu = 0.  The touching there is quadratic in
-    momentum (a double-Weyl-type node), so the second-order model is exact
-    up to cubic corrections.
+    Requires v = gx = gy = mu = 0.  The touching there is anisotropic:
+    |eta| grows like delta^4 along kx and like delta^2 along ky, so the
+    splitting sqrt(eta) is quadratic along kx and linear along ky.  The
+    second-order model is exact up to cubic corrections.
     """
     for name in ("v", "gx", "gy", "mu_a", "mu_b"):
         if getattr(p, name) != 0.0:

@@ -128,7 +128,12 @@ class RibbonBand:
 
 @dataclass
 class ZeroModePairReport:
-    """Coalescence data of the two eigenvalues closest to zero."""
+    """Eigenvalues and eigenvector overlap of the two eigenvalues closest to zero.
+
+    An overlap near 1 does not by itself show that the pair coalesces: under
+    the skin effect most eigenvectors crowd onto one edge and overlap near 1
+    (see ``obc_defective_check``).
+    """
 
     eigenvalues: tuple
     overlap: float
@@ -238,8 +243,8 @@ def _solve_all(solve, groups) -> list:
     The solves share min(CPUs, groups) threads: the calling thread solves
     the first len(groups) // threads groups and a pool of the other threads
     the rest, so no pool is started for one thread or when there is no
-    thread setter.  The first failure in group order is raised once the pool
-    is joined; the counts are restored.
+    thread setter.  A failure cancels the pool's queued solves, and the first
+    in group order is raised once the pool is joined; the counts are restored.
     """
     calls = _blas_thread_calls()
     if not calls:
@@ -257,7 +262,11 @@ def _solve_all(solve, groups) -> list:
             split = len(groups) // workers
             with ThreadPoolExecutor(workers - 1) as pool:
                 rest = pool.map(solve, groups[split:])
-                return [*map(solve, groups[:split]), *rest]
+                try:
+                    return [*map(solve, groups[:split]), *rest]
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
         finally:
             for (_, set_), count in zip(calls, before):
                 set_(count)
@@ -284,8 +293,9 @@ def ribbon_spectrum(p: ModelParams, open_axis: str, n_cells: int, k_values,
     min(CPUs, solves) threads, the calling thread one of them, with OpenBLAS
     pinned to one thread, each dropping its unkept vectors at once (module
     docstring): the bands do not depend on the number of CPUs, the memory
-    not on the number of momenta.  Of failed solves, the one at the least
-    momentum modulo pi raises once every solve has stopped.  The ribbon's
+    not on the number of momenta.  A failed solve cancels the queued ones,
+    and of the failed solves, the one at the least momentum modulo pi
+    raises once every started solve has stopped.  The ribbon's
     size and axis, and that every momentum is finite, are checked before
     any matrix is built, even for no ``k_values``.
     """
@@ -357,11 +367,18 @@ def in_gap_indices(band: RibbonBand, gap: tuple[float, float]) -> list:
 
 
 def obc_defective_check(band: RibbonBand) -> ZeroModePairReport:
-    """Coalescence overlap of the two ribbon eigenvalues nearest zero.
+    """Eigenvector overlap of the two ribbon eigenvalues nearest zero.
 
     The overlap |<v1|v2>| of the unit-normalized eigenvectors approaches 1
     at an open-boundary defective point and stays near 0 for an independent
-    pair (for instance hybridized edge modes).  When no eigenvalue lies
+    pair (for instance hybridized edge modes).  The converse does not hold
+    under the skin effect, which crowds most eigenvectors onto one edge:
+    on the gamma = 0 x ribbon at N = 30 the median state's largest overlap
+    with another is 0.9987 at k = pi/2 and 0.988 at k = 1.2, and the zero
+    pair's overlap reads 1, yet after balancing by diag(exp(-0.8 j)) the
+    matrix has two singular values below 1e-13, so its zero eigenvalue has
+    geometric multiplicity 2: a non-defective pair.  An overlap near 1
+    alone therefore does not show coalescence.  When no eigenvalue lies
     within ``_ZERO_WINDOW`` of zero the pair is reported absent.
     """
     order = np.argsort(np.abs(band.eigenvalues))

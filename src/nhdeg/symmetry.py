@@ -14,11 +14,12 @@ touchings in the different parameter regimes:
   the x phase).  Holds at v = 0 for commensurate gamma, in particular at
   gamma = pi/2 where the dressing shifts momenta by (pi, pi).
 
-Verification is double-tracked: ``check_bloch`` evaluates the sector-resolved
-intertwining relations on a momentum grid, and ``check_realspace`` builds the
-explicit operator matrix on a periodic torus and forms the relation in full
-real space.  The real-space oracle is the convention anchor; the Bloch form
-below was fixed by requiring agreement with it.
+Verification is double-tracked: ``check_bloch`` compares the two sides of
+each sector-resolved intertwining relation as coefficient tables of the hop
+list, which decides it for every momentum at once, and ``check_realspace``
+builds the explicit operator matrix on a periodic torus and forms the
+relation in full real space.  The real-space oracle is the convention
+anchor; the Bloch form below was fixed by requiring agreement with it.
 
 In this cell-local basis the sublattice swap itself flips the signs of the
 nonreciprocity exponents of the nearest-neighbor sector, so ``upsilon``
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (X1_POINTS, X2_POINTS, ModelParams, _k_grid, bloch_hamiltonian,
-                    discriminant_function, real_space_hamiltonian)
+from .model import (X1_POINTS, X2_POINTS, ModelParams, _hop_tables, discriminant_function,
+                    real_space_hamiltonian)
 
 __all__ = [
     "CompositeSymmetrySpec",
@@ -47,8 +48,6 @@ __all__ = [
 
 # relations are exact; only rounding contributes
 HOLD_TOL = 1e-10
-# grid residuals this close (relative) to an extremum tie with it
-_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,6 @@ class SymmetryReport:
     spec: str
     right_residual: float
     left_residual: float
-    worst_k: tuple
-    min_residual: float
-    min_k: tuple
     holds: bool
 
 
@@ -102,18 +98,8 @@ def apply_parameter_map(spec: CompositeSymmetrySpec, p: ModelParams) -> ModelPar
     return p.replace(ga=-p.gb, gb=-p.ga) if spec.reflect_y else p
 
 
-def _momentum_action(spec: CompositeSymmetrySpec, p: ModelParams, kx, ky):
-    """Momentum map of the matrix part (reflection plus site-phase shift)."""
-    mx, my = kx, -ky if spec.reflect_y else ky
-    if spec.site_phase:
-        mx = mx + 2.0 * p.gamma
-        my = my - 2.0 * p.gamma
-    return mx, my
-
-
-def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
-                nx: int = 32, ny: int = 32) -> SymmetryReport:
-    """Grid evaluation of the sector-resolved intertwining relations.
+def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec) -> SymmetryReport:
+    """Decide the sector-resolved intertwining relations on the hop table.
 
     With W the spinor part, a(k) the momentum action of the matrix part and
     pi the parameter involution, the right and left relations read
@@ -121,46 +107,39 @@ def check_bloch(p: ModelParams, spec: CompositeSymmetrySpec,
         h_p(a(k)) W = W h_pi(p)(-k)^T,
         W conj(h_pi(p)(-k)) = h_p(a(k))^dag W,
 
-    for every k.  The report carries the worst and best grid residuals
-    relative to the largest norm of h_p(a(k)) on the grid, or to 1 when
-    that norm is smaller.  Extrema tend to come in pairs tied up to
-    rounding; the momentum reported is the first, in a kx-outer scan of
-    the grid, whose residual lies within a relative 1e-12 of the extremum.
-    Every hop spans at most one cell, so each residual entry is a
-    trigonometric polynomial of degree <= 1 in kx and in ky: 3 momenta per
-    axis decide whether it vanishes, and fewer raise ValueError.
+    for every k.  Each side is a sum over hops (dx, dy) of a 2x2 coefficient
+    times exp(-i k.delta), so a relation holds for every k exactly when the
+    (entry, dx, dy) coefficient tables of its two sides agree.  The tables
+    come from ``_hop_tables``: a(k) = (kx + s, +-ky - s), with s = 2 gamma
+    under the site phases and 0 without, mirrors the dy axis for a
+    reflection and multiplies each coefficient by exp(-i s (dx -+ dy));
+    -k flips both axes, and the transpose swaps the off-diagonal entries.
+    Each residual is the Frobenius norm of a table difference relative to
+    that of h_p's table, or to 1 when that is smaller; by Parseval it is
+    the zone's root-mean-square residual relative to that of |h_p|.
     """
-    if min(nx, ny) < 3:
-        raise ValueError(f"check_bloch needs at least 3 momenta per axis, got {nx}x{ny}")
+    h = _hop_tables(p)[0].reshape(2, 2, 3, 3)
+    h_pi = _hop_tables(apply_parameter_map(spec, p))[0].reshape(2, 2, 3, 3)
+    sign = -1 if spec.reflect_y else 1
+    h_a = h[..., ::sign]
+    if spec.site_phase:
+        d = np.arange(-1.0, 2.0)
+        h_a = h_a * np.exp(-2j * p.gamma * (d[:, None] - sign * d[None, :]))
     # W = [[0, a], [b, 0]] with (b, a) = (exp(-2i gamma), 1) under the site
     # phases and (1, 1) without, so h W swaps the columns of h and scales
     # them by (b, a), and W h swaps its rows and scales them by (a, b)
-    col = np.array([np.exp(-2j * p.gamma) if spec.site_phase else 1.0, 1.0], dtype=complex)
-    row = col[::-1, None]
-    pp = apply_parameter_map(spec, p)
-    kxs, kys = _k_grid(nx), _k_grid(ny)
-    # kx on the first axis, so the flat order is the kx-outer scan order
-    kx, ky = kxs[:, None], kys[None, :]
-    h_a = bloch_hamiltonian(p, *_momentum_action(spec, p, kx, ky))
-    h_t = bloch_hamiltonian(pp, -kx, -ky)
-    r_r = np.linalg.norm(h_a[..., ::-1] * col - h_t.swapaxes(-1, -2)[..., ::-1, :] * row,
-                         axis=(-2, -1))
-    r_l = np.linalg.norm(h_t.conj()[..., ::-1, :] * row
-                         - h_a.conj().swapaxes(-1, -2)[..., ::-1] * col, axis=(-2, -1))
-    r = np.maximum(r_r, r_l)
-    # argmax of a mask is its first True
-    worst = np.unravel_index(np.argmax(r >= r.max() * (1 - _TIE_RTOL)), r.shape)
-    best = np.unravel_index(np.argmax(r <= r.min() * (1 + _TIE_RTOL)), r.shape)
-    scale = max(float(np.linalg.norm(h_a, axis=(-2, -1)).max()), 1.0)
-    return SymmetryReport(
-        spec=spec.name,
-        right_residual=float(r_r[worst] / scale),
-        left_residual=float(r_l[worst] / scale),
-        worst_k=(float(kxs[worst[0]]), float(kys[worst[1]])),
-        min_residual=float(r[best] / scale),
-        min_k=(float(kxs[best[0]]), float(kys[best[1]])),
-        holds=bool(r[worst] / scale < HOLD_TOL),
-    )
+    col = np.array([np.exp(-2j * p.gamma) if spec.site_phase else 1.0, 1.0],
+                   dtype=complex)[None, :, None, None]
+    row = col.swapaxes(0, 1)[::-1]
+    # tables of h_pi(p)(-k)^T and h_p(a(k))^dag: both axes flipped, transposed;
+    # that of conj(h_pi(p)(-k)) is conj(h_pi) itself
+    h_t = h_pi[..., ::-1, ::-1].swapaxes(0, 1)
+    h_d = h_a.conj()[..., ::-1, ::-1].swapaxes(0, 1)
+    scale = max(float(np.linalg.norm(h)), 1.0)
+    r_r = float(np.linalg.norm(h_a[:, ::-1] * col - h_t[::-1] * row)) / scale
+    r_l = float(np.linalg.norm(h_pi.conj()[::-1] * row - h_d[:, ::-1] * col)) / scale
+    return SymmetryReport(spec=spec.name, right_residual=r_r, left_residual=r_l,
+                          holds=max(r_r, r_l) < HOLD_TOL)
 
 
 def _operator_matrix(spec: CompositeSymmetrySpec, p: ModelParams,
@@ -188,9 +167,11 @@ def check_realspace(p: ModelParams, spec: CompositeSymmetrySpec,
     Builds the full operator matrix A and the Hamiltonians at the original
     and mapped parameters, then evaluates |H(p) A - A H(pi(p))^T| and
     |A conj(H(pi(p))) - H(p)^dag A| (Frobenius, relative to |H|).  This is
-    the ground-truth form the Bloch check is calibrated against.  As there,
-    3 momenta per axis decide the verdict; nx must also be even (the
-    translated operator must wrap), so the torus needs nx >= 4 and ny >= 3.
+    the ground-truth form the Bloch check is calibrated against.  Every hop
+    spans at most one cell, so each residual entry is a trigonometric
+    polynomial of degree <= 1 per axis and 3 momenta per axis decide the
+    verdict; nx must also be even (the translated operator must wrap), so
+    the torus needs nx >= 4 and ny >= 3.
     """
     if nx % 2 or nx < 4 or ny < 3:
         raise ValueError(f"check_realspace needs an even nx >= 4 and ny >= 3, got {nx}x{ny}")
@@ -207,13 +188,8 @@ def check_realspace(p: ModelParams, spec: CompositeSymmetrySpec,
     scale = max(1.0, float(np.linalg.norm(H)))
     r_r = float(np.linalg.norm(H @ A - A @ Hp.T) / scale)
     r_l = float(np.linalg.norm(A @ np.conj(Hp) - H.conj().T @ A) / scale)
-    worst = max(r_r, r_l)
-    return SymmetryReport(
-        spec=spec.name, right_residual=r_r, left_residual=r_l,
-        worst_k=(float("nan"), float("nan")),
-        min_residual=worst, min_k=(float("nan"), float("nan")),
-        holds=bool(worst < HOLD_TOL),
-    )
+    return SymmetryReport(spec=spec.name, right_residual=r_r, left_residual=r_l,
+                          holds=max(r_r, r_l) < HOLD_TOL)
 
 
 def pair_product_phase(spec: CompositeSymmetrySpec, k) -> complex:
@@ -237,15 +213,13 @@ def pair_product_phase(spec: CompositeSymmetrySpec, k) -> complex:
     return complex(sign * np.exp(1j * angle))
 
 
-def symmetry_survey(p: ModelParams, nx: int = 32, ny: int = 32) -> dict:
-    """Bloch-grid reports for all built-in symmetries at one parameter set.
+def symmetry_survey(p: ModelParams) -> dict:
+    """Hop-table reports for all built-in symmetries at one parameter set.
 
-    Reports include per-spec residual extrema over the grid; the
-    discriminant values at the X1/X2 points are attached as gap-closure
+    The discriminant values at the X1/X2 points are attached as gap-closure
     diagnostics for staggered-potential sweeps.
     """
-    reports = {name: check_bloch(p, builtin_spec(name), nx, ny)
-               for name in BUILTIN_NAMES}
+    reports = {name: check_bloch(p, builtin_spec(name)) for name in BUILTIN_NAMES}
     eta_x1 = complex(discriminant_function(p, *X1_POINTS[0]))
     eta_x2 = complex(discriminant_function(p, *X2_POINTS[0]))
     return {

@@ -327,15 +327,14 @@ def test_cli_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path, regime1_
 def test_cli_consecutive_commands_run_the_current_functions(tmp_path, regime1_file,
                                                             monkeypatch):
     out = tmp_path / "out"
-    assert main(["symmetry", "--params", str(regime1_file), "--nx", "6", "--ny", "6",
-                 "--out", str(out)]) == 0
+    assert main(["symmetry", "--params", str(regime1_file), "--out", str(out)]) == 0
     assert main(["theorem", "--trials", "3", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["symmetry.json", "theorem.json"]
     # a rebound command is the one the cached parser's dispatch reaches
     seen = []
     monkeypatch.setattr(nhdeg.cli, "cmd_symmetry", lambda args: seen.append(args) or 7)
     assert main(["symmetry", "--params", str(regime1_file)]) == 7
-    assert seen[0].command == "symmetry" and seen[0].nx == 32
+    assert seen[0].command == "symmetry" and seen[0].params == str(regime1_file)
 
 
 def test_cli_bad_params_file(tmp_path):
@@ -398,8 +397,6 @@ def test_cli_theorem_prints_the_first_failure_and_exits_1(tmp_path, capsys, monk
     ["theorem", "--trials", "-2"],
     ["scan", "--nx", "0"],
     ["scan", "--ny", "-1"],
-    ["symmetry", "--nx", "0"],
-    ["symmetry", "--ny", "2.5"],
     ["phases", "--v-steps", "0"],
     ["phases", "--g-steps", "zero"],
     ["ribbon", "--k-samples", "0"],
@@ -416,6 +413,8 @@ def test_cli_count_flags_reject_non_positive(tmp_path, regime1_file, capsys, arg
     *((command, flag) for command in ("symmetry", "phases", "ribbon")
       for flag in (["--tol", "1e-9"], ["--seed", "3"])),
     ("scan", ["--seed", "3"]),
+    ("symmetry", ["--nx", "6"]),
+    ("symmetry", ["--ny", "6"]),
 ])
 def test_cli_removed_flags_are_usage_errors(tmp_path, regime1_file, command, flag):
     out = tmp_path / "out"
@@ -511,16 +510,14 @@ def test_cli_symmetry_rejects_non_finite_residuals_and_writes_nothing(tmp_path, 
     assert not out.exists()
 
 
-def test_cli_symmetry_rejects_a_grid_below_three_momenta(tmp_path, regime3_file, capsys):
-    # on this recipe a 2x2 grid shows upsilon holding, though t1 breaks it
+def test_cli_symmetry_finds_upsilon_broken_on_the_gamma_zero_coexistence_recipe(
+        tmp_path, regime3_file):
+    # t1 breaks upsilon here, though a 2x2 momentum grid shows it holding
     out = tmp_path / "out"
-    assert main(["symmetry", "--params", str(regime3_file), "--nx", "2", "--ny", "2",
-                 "--out", str(out)]) == 2
-    assert "at least 3 momenta per axis" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["symmetry", "--params", str(regime3_file), "--nx", "3", "--ny", "3",
-                 "--out", str(out)]) == 0
-    assert "upsilon" not in json.loads((out / "symmetry.json").read_text())["holding"]
+    assert main(["symmetry", "--params", str(regime3_file), "--out", str(out)]) == 0
+    doc = json.loads((out / "symmetry.json").read_text())
+    assert doc["holding"] == ["upsilon_prime", "upsilon_doubleprime"]
+    assert doc["reports"]["upsilon"]["holds"] is False
 
 
 @pytest.mark.parametrize("command", ["theorem", "scan"])
@@ -567,12 +564,12 @@ def test_cli_scan_fold(tmp_path, regime3_file):
 
 def test_cli_symmetry(tmp_path, regime1_file):
     out = tmp_path / "sym"
-    rc = main(["symmetry", "--params", str(regime1_file), "--nx", "10",
-               "--ny", "10", "--out", str(out)])
+    rc = main(["symmetry", "--params", str(regime1_file), "--out", str(out)])
     assert rc == 0
     doc = json.loads((out / "symmetry.json").read_text())
     assert "upsilon" in doc["holding"]
     rep = doc["reports"]["upsilon"]
+    assert sorted(rep) == ["holds", "left_residual", "right_residual", "spec"]
     assert rep["holds"] is True
     assert rep["right_residual"] < 1e-10
 

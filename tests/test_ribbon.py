@@ -496,18 +496,22 @@ def test_calling_thread_solves_the_first_share(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_calling_thread_failure_raises_once_the_pool_is_done(monkeypatch, workers):
-    # the calling thread's first group fails at once while the pool's first
-    # sleeps and its last fails too: the calling thread's error is raised,
-    # and only once the sleeping solve is done and the pool is gone
+    # the calling thread's first group fails once the pool's first has
+    # started, which sleeps, and the pool's last fails too: the calling
+    # thread's error is raised, and only once the sleeping solve is done and
+    # the pool is gone
     _blas_counts()
     before = threading.active_count()
     first_pooled = len(_GROUPS) // workers
+    started = threading.Event()
     done = []
 
     def solve(group):
         if group == 0:
+            assert started.wait(5)
             raise RuntimeError("calling thread's solve failed")
         if group == first_pooled:
+            started.set()
             time.sleep(0.2)
             done.append(group)
         if group == _GROUPS[-1]:
@@ -519,6 +523,37 @@ def test_calling_thread_failure_raises_once_the_pool_is_done(monkeypatch, worker
         nhdeg.ribbon._solve_all(solve, _GROUPS)
     assert done == [first_pooled]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_calling_thread_failure_cancels_the_queued_pool_solves(monkeypatch, workers):
+    # the calling thread's first group fails once every pool thread is busy
+    # with a sleeping solve: those finish, and the queued ones are cancelled
+    # (they all ran before)
+    _blas_counts()
+    busy = workers - 1
+    lock, all_busy = threading.Lock(), threading.Event()
+    pooled, failed = [], threading.Event()
+
+    def solve(group):
+        if group == 0:
+            assert all_busy.wait(5)
+            failed.set()
+            raise RuntimeError("calling thread's solve failed")
+        if group >= len(_GROUPS) // workers:
+            with lock:
+                pooled.append(failed.is_set())
+                if len(pooled) == busy:
+                    all_busy.set()
+            time.sleep(0.2)
+        return group
+
+    monkeypatch.setattr(nhdeg.ribbon, "_worker_count", lambda: workers)
+    with pytest.raises(RuntimeError, match="^calling thread's solve failed$"):
+        nhdeg.ribbon._solve_all(solve, _GROUPS)
+    # pool solves made after the failure
+    assert pooled.count(True) == 0
+    assert len(pooled) == busy < len(_GROUPS) - len(_GROUPS) // workers
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])

@@ -7,13 +7,14 @@ import pytest
 from scipy.spatial import cKDTree
 
 import nhdeg.scanner
-from _oracles import local_minima_rolls, near_vertex_nodes_loops, sign_change_cells_stacked
+from _oracles import (local_minima_rolls, momentum_action, near_vertex_nodes_loops,
+                      sign_change_cells_stacked)
 from nhdeg.model import (ModelParams, _k_grid, discriminant_function, dispersion,
                          phase_boundaries)
 from nhdeg.scanner import (ScalarField, _local_minima, _marching_squares,
                            _near_vertex_nodes, _sign_change_cells, fermi_curves,
                            find_degeneracies, scan_discriminant, zero_curves)
-from nhdeg.symmetry import _momentum_action, builtin_spec, pair_product_phase, symmetry_survey
+from nhdeg.symmetry import builtin_spec, pair_product_phase, symmetry_survey
 
 X_TARGETS = [(np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2),
              (-np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2)]
@@ -258,8 +259,8 @@ def test_scan_points_are_closed_under_their_symmetries(name):
     maps = [lambda kx, ky: (-kx, -ky)]
     for spec_name in symmetry_survey(p)["holding"]:
         spec = builtin_spec(spec_name)
-        maps += [lambda kx, ky, spec=spec: _momentum_action(spec, p, kx, ky),
-                 lambda kx, ky, spec=spec: _momentum_action(spec, p, -kx, -ky)]
+        maps += [lambda kx, ky, spec=spec: momentum_action(spec, p, kx, ky),
+                 lambda kx, ky, spec=spec: momentum_action(spec, p, -kx, -ky)]
     for kx, ky in found:
         for action in maps:
             image = action(kx, ky)

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from _oracles import check_bloch_matmul, operator_matrix_loops, spinor_part
+from _oracles import check_bloch_matmul, momentum_action, operator_matrix_loops, spinor_part
 
 import nhdeg.symmetry
-from nhdeg.model import ModelParams, bloch_hamiltonian, phase_boundaries
-from nhdeg.symmetry import (BUILTIN_NAMES, _momentum_action, _operator_matrix,
+from nhdeg.model import ModelParams, _k_grid, bloch_hamiltonian, phase_boundaries
+from nhdeg.symmetry import (BUILTIN_NAMES, _operator_matrix,
                             apply_parameter_map, builtin_spec,
                             check_bloch, check_realspace, pair_product_phase,
                             symmetry_survey)
@@ -65,63 +65,55 @@ def test_parameter_map_is_involution():
 
 
 def test_upsilon_holds_in_regime1():
-    rep = check_bloch(REGIME1, builtin_spec("upsilon"), 16, 16)
+    rep = check_bloch(REGIME1, builtin_spec("upsilon"))
     assert rep.holds
     assert max(rep.right_residual, rep.left_residual) < 1e-12
 
 
 def test_upsilon_broken_by_diagonal_hopping_or_potential():
-    assert not check_bloch(REGIME1.replace(t1=0.3), builtin_spec("upsilon"),
-                           12, 12).holds
-    assert not check_bloch(REGIME1.replace(v=0.5), builtin_spec("upsilon"),
-                           12, 12).holds
+    assert not check_bloch(REGIME1.replace(t1=0.3), builtin_spec("upsilon")).holds
+    assert not check_bloch(REGIME1.replace(v=0.5), builtin_spec("upsilon")).holds
 
 
 def scalar_loop_check_bloch(p, spec, nx, ny):
-    """Reference: the relations evaluated one k-point at a time, kx outer.
+    """Reference: the relations evaluated one k-point at a time on an nx-by-ny grid.
 
-    The reported momenta are the first in that order whose residual lies
-    within a relative 1e-12 of the extremum.
+    Returns the root-mean-square right and left residuals over the grid,
+    relative to the root-mean-square norm of h_p(a(k)) or to 1 when that is
+    smaller.  Each residual is a sum of hops with steps of at most one cell
+    per axis, so with at least 3 momenta per axis no two of its terms alias
+    and, by Parseval, these are the norms of its coefficient tables.
     """
     W = spinor_part(spec, p)
     pp = apply_parameter_map(spec, p)
-    rows, scale = [], 0.0
-    for kx in -np.pi + 2 * np.pi * np.arange(nx) / nx:
-        for ky in -np.pi + 2 * np.pi * np.arange(ny) / ny:
-            h_a = bloch_hamiltonian(p, *_momentum_action(spec, p, kx, ky))
+    sums = np.zeros(3)
+    for kx in _k_grid(nx):
+        for ky in _k_grid(ny):
+            h_a = bloch_hamiltonian(p, *momentum_action(spec, p, kx, ky))
             h_t = bloch_hamiltonian(pp, -kx, -ky)
-            r_r = np.linalg.norm(h_a @ W - W @ h_t.T)
-            r_l = np.linalg.norm(W @ np.conj(h_t) - h_a.conj().T @ W)
-            scale = max(scale, np.linalg.norm(h_a))
-            rows.append((max(r_r, r_l), r_r, r_l, (kx, ky)))
-    scale = max(scale, 1.0)
-    top = max(row[0] for row in rows)
-    bottom = min(row[0] for row in rows)
-    worst = next(row for row in rows if row[0] >= top * (1 - 1e-12))
-    best = next(row for row in rows if row[0] <= bottom * (1 + 1e-12))
-    return worst[1] / scale, worst[2] / scale, worst[3], best[0] / scale, best[3]
+            sums += [np.linalg.norm(h_a @ W - W @ h_t.T) ** 2,
+                     np.linalg.norm(W @ np.conj(h_t) - h_a.conj().T @ W) ** 2,
+                     np.linalg.norm(h_a) ** 2]
+    right, left, norm = np.sqrt(sums / (nx * ny))
+    return right / max(norm, 1.0), left / max(norm, 1.0)
 
 
-@pytest.mark.parametrize("params,name", [
-    (REGIME1.replace(t1=0.3), "upsilon"),
-    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_prime"),
-    # the scalar and batched residuals of this case round apart, so the
-    # member of a tied pair with the smaller residual differs between them
-    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_doubleprime"),
+@pytest.mark.parametrize("params,name,holds", [
+    (REGIME1.replace(t1=0.3), "upsilon", False),
+    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_prime", False),
+    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_doubleprime", False),
+    (REGIME3_GP, "upsilon_doubleprime", True),
+    (REGIME3_GP.replace(mu_a=0.2, mu_b=-0.4), "upsilon_doubleprime", False),
+    (ModelParams(t=1e-3, gamma=0.3, gx=0.2), "upsilon", True),
 ])
-def test_check_bloch_matches_scalar_loop(params, name):
-    # broken specs, so the residuals are O(1).  Their extrema come in
-    # pairs tied up to rounding, so the reported momenta also check that
-    # the first member in kx-outer order is reported
+@pytest.mark.parametrize("nx,ny", [(3, 3), (12, 10)])
+def test_check_bloch_matches_scalar_loop(params, name, holds, nx, ny):
     spec = builtin_spec(name)
-    rep = check_bloch(params, spec, 12, 10)
-    right, left, worst_k, best, best_k = scalar_loop_check_bloch(params, spec, 12, 10)
-    assert not rep.holds
-    assert rep.worst_k == worst_k
-    assert rep.min_k == best_k
-    assert rep.right_residual == pytest.approx(right, rel=0, abs=1e-12)
-    assert rep.left_residual == pytest.approx(left, rel=0, abs=1e-12)
-    assert rep.min_residual == pytest.approx(best, rel=0, abs=1e-12)
+    rep = check_bloch(params, spec)
+    right, left = scalar_loop_check_bloch(params, spec, nx, ny)
+    assert rep.holds is holds
+    assert rep.right_residual == pytest.approx(right, rel=1e-12, abs=1e-15)
+    assert rep.left_residual == pytest.approx(left, rel=1e-12, abs=1e-15)
 
 
 _DIAG = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
@@ -134,39 +126,67 @@ README_RECIPES = {
 }
 
 
-def assert_survey_matches_matmul_form(p, nx, ny):
-    survey = symmetry_survey(p, nx, ny)
-    ref = {name: check_bloch_matmul(p, builtin_spec(name), nx, ny) for name in BUILTIN_NAMES}
-    assert survey["holding"] == [name for name, rep in ref.items() if rep.holds]
+def assert_survey_matches_matmul_form(p):
+    # the table verdict is the verdict of the 32x32 grid; a relation that
+    # holds leaves rounding only, one that breaks an O(1e-4) residual or more
+    survey = symmetry_survey(p)
+    holding = [name for name in BUILTIN_NAMES
+               if check_bloch_matmul(p, builtin_spec(name), 32, 32).holds]
+    assert survey["holding"] == holding, p
     for name, rep in survey["reports"].items():
-        want = ref[name]
-        assert (rep.holds, rep.worst_k, rep.min_k) == (
-            want.holds, want.worst_k, want.min_k), (name, p, nx, ny)
-        # a complex W rounds its products differently from a matmul
-        for field in ("right_residual", "left_residual", "min_residual"):
-            assert abs(getattr(rep, field) - getattr(want, field)) <= 1e-15, (name, field, p)
-    return survey["holding"]
+        worst = max(rep.right_residual, rep.left_residual)
+        assert worst < 1e-15 if rep.holds else worst > 1e-4, (name, p)
+    return holding
 
 
 @pytest.mark.parametrize("recipe", README_RECIPES)
 def test_check_bloch_matches_matmul_form_on_readme_recipes(recipe):
-    assert_survey_matches_matmul_form(README_RECIPES[recipe], 32, 32)
+    assert_survey_matches_matmul_form(README_RECIPES[recipe])
 
 
 def test_check_bloch_matches_matmul_form_on_seeded_draws():
     # t1 = v = 0 lets upsilon hold and v = 0 the primed specs, with a real W
-    # at gamma = 0 and a complex one elsewhere; odd sizes move the grid
+    # at gamma = 0 and a complex one elsewhere; every fifth draw adds the
+    # onsite terms
     rng = np.random.default_rng(11)
     held = set()
-    for trial in range(240):
+    for trial in range(300):
         gamma = (0.0, np.pi / 4, np.pi / 2, rng.uniform(-np.pi, np.pi))[trial % 4]
         t1 = 0.0 if trial % 3 == 0 else rng.uniform(-1, 1)
         v = 0.0 if trial % 3 < 2 else rng.uniform(-1, 1)
+        mu_a, mu_b = rng.uniform(-1, 1, 2) if trial % 5 == 0 else (0.0, 0.0)
         p = ModelParams(t1=t1, v=v, gamma=gamma, gx=rng.uniform(-1, 1),
-                        gy=rng.uniform(-1, 1), ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1))
-        nx, ny = (int(n) for n in rng.integers(4, 21, size=2))
-        held.update(assert_survey_matches_matmul_form(p, nx, ny))
+                        gy=rng.uniform(-1, 1), ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1),
+                        mu_a=mu_a, mu_b=mu_b)
+        held.update(assert_survey_matches_matmul_form(p))
     assert held == set(BUILTIN_NAMES)
+
+
+def test_check_bloch_matches_realspace_wherever_the_operator_builds():
+    # the site-phase operator builds on the 4x4 torus only at gamma = 0,
+    # pi/2 and pi (mod 2 pi), and the other two everywhere
+    rng = np.random.default_rng(17)
+    held, compared = set(), 0
+    for trial in range(120):
+        gamma = (0.0, np.pi / 2, np.pi, rng.uniform(-np.pi, np.pi))[trial % 4]
+        t1 = 0.0 if trial % 3 == 0 else rng.uniform(-1, 1)
+        v = 0.0 if trial % 3 < 2 else rng.uniform(-1, 1)
+        mu_a, mu_b = rng.uniform(-1, 1, 2) if trial % 2 else (0.0, 0.0)
+        p = ModelParams(t1=t1, v=v, gamma=gamma, gx=rng.uniform(-1, 1),
+                        gy=rng.uniform(-1, 1), ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1),
+                        mu_a=mu_a, mu_b=mu_b)
+        for name in BUILTIN_NAMES:
+            spec = builtin_spec(name)
+            try:
+                real = check_realspace(p, spec).holds
+            except ValueError:
+                assert spec.site_phase and trial % 4 == 3, (name, p)
+                continue
+            assert check_bloch(p, spec).holds == real, (name, p)
+            held.update([name] if real else [])
+            compared += 1
+    assert held == set(BUILTIN_NAMES)
+    assert compared == 330
 
 
 @pytest.mark.parametrize("params,name", [
@@ -175,45 +195,25 @@ def test_check_bloch_matches_matmul_form_on_seeded_draws():
     (REGIME3_GP, "upsilon_prime"),
 ])
 def test_regime3_symmetries_hold(params, name):
-    rep = check_bloch(params, builtin_spec(name), 16, 16)
+    rep = check_bloch(params, builtin_spec(name))
     assert rep.holds
 
 
 def test_doubleprime_reduces_to_prime_at_gamma_zero():
-    rep_p = check_bloch(REGIME3_G0, builtin_spec("upsilon_prime"), 12, 12)
-    rep_d = check_bloch(REGIME3_G0, builtin_spec("upsilon_doubleprime"), 12, 12)
+    rep_p = check_bloch(REGIME3_G0, builtin_spec("upsilon_prime"))
+    rep_d = check_bloch(REGIME3_G0, builtin_spec("upsilon_doubleprime"))
     assert rep_p.holds and rep_d.holds
 
 
-@pytest.mark.parametrize("nx,ny", [(1, 32), (2, 2), (32, 2), (0, 3)])
-def test_check_bloch_needs_three_momenta_per_axis(nx, ny):
-    message = f"^check_bloch needs at least 3 momenta per axis, got {nx}x{ny}$"
-    with pytest.raises(ValueError, match=message):
-        check_bloch(REGIME3_G0, builtin_spec("upsilon"), nx, ny)
-    with pytest.raises(ValueError, match=message):
-        symmetry_survey(REGIME3_G0, nx, ny)
-
-
-def test_check_bloch_three_momenta_per_axis_decide_the_verdict():
-    # each residual entry is a trigonometric polynomial of degree <= 1 per
-    # axis, so a 3x3 grid gives the 32x32 verdict on every draw; a 2x2 grid,
-    # computed by the oracle that has no floor, gets some of them wrong
-    rng = np.random.default_rng(5)
-    held, wrong_on_2x2 = set(), 0
-    for trial in range(200):
-        gamma = (0.0, np.pi / 4, np.pi / 2, rng.uniform(-np.pi, np.pi))[trial % 4]
-        t1 = 0.0 if trial % 3 == 0 else rng.uniform(-1, 1)
-        v = 0.0 if trial % 3 < 2 else rng.uniform(-1, 1)
-        p = ModelParams(t1=t1, v=v, gamma=gamma, gx=rng.uniform(-1, 1),
-                        gy=rng.uniform(-1, 1), ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1))
-        holding = symmetry_survey(p, 32, 32)["holding"]
-        assert symmetry_survey(p, 3, 3)["holding"] == holding, p
-        coarse = [name for name in BUILTIN_NAMES
-                  if check_bloch_matmul(p, builtin_spec(name), 2, 2).holds]
-        wrong_on_2x2 += coarse != holding
-        held.update(holding)
-    assert held == set(BUILTIN_NAMES)
-    assert wrong_on_2x2 > 0
+def test_upsilon_is_broken_on_the_gamma_zero_coexistence_recipe():
+    # t1 breaks it, but every residual vanishes on a 2x2 grid, which a grid
+    # check with no floor read as holding
+    spec = builtin_spec("upsilon")
+    assert check_bloch_matmul(REGIME3_G0, spec, 2, 2).holds
+    rep = check_bloch(REGIME3_G0, spec)
+    assert not rep.holds
+    assert min(rep.right_residual, rep.left_residual) > 1.0
+    assert "upsilon" not in symmetry_survey(REGIME3_G0)["holding"]
 
 
 def test_realspace_matches_regime1():
@@ -281,8 +281,8 @@ def test_check_realspace_needs_an_even_nx_of_four_and_three_cells_in_y(nx, ny):
 
 
 def test_check_realspace_four_by_three_decides_the_verdict():
-    # as for check_bloch, 3 momenta per axis decide each residual, so a 4x3
-    # torus gives the 8x8 verdict; the site-phase spec is built only where
+    # 3 momenta per axis decide each residual, so a 4x3 torus gives the 8x8
+    # verdict; the site-phase spec is built only where
     # gamma is commensurate with both tori
     rng = np.random.default_rng(13)
     held, compared = set(), 0
@@ -323,7 +323,7 @@ def test_oracle_agreement_across_draws():
         for name in BUILTIN_NAMES:
             for nx, ny in ((4, 4), (6, 6)):
                 spec = builtin_spec(name)
-                bloch = check_bloch(p, spec, 10, 10).holds
+                bloch = check_bloch(p, spec).holds
                 real = realspace_verdict(p, spec, nx, ny)
                 assert bloch == real, (name, p)
 
@@ -331,7 +331,7 @@ def test_oracle_agreement_across_draws():
 def test_hermitian_limit_all_hold_at_gamma_zero():
     p = ModelParams(gamma=0.0)
     for name in BUILTIN_NAMES:
-        assert check_bloch(p, builtin_spec(name), 12, 12).holds
+        assert check_bloch(p, builtin_spec(name)).holds
         assert check_realspace(p, builtin_spec(name), 4, 4).holds
 
 
@@ -347,13 +347,13 @@ def test_pair_product_phases():
 
 
 def test_survey_regimes():
-    s1 = symmetry_survey(REGIME1, 12, 12)
+    s1 = symmetry_survey(REGIME1)
     assert "upsilon" in s1["holding"]
-    s3 = symmetry_survey(REGIME3_G0, 12, 12)
+    s3 = symmetry_survey(REGIME3_G0)
     assert "upsilon_prime" in s3["holding"]
     assert "upsilon" not in s3["holding"]
     generic = symmetry_survey(ModelParams(t1=0.4, v=0.3, gamma=0.4, gx=0.2,
-                                          gy=0.1, ga=0.3, gb=0.2), 12, 12)
+                                          gy=0.1, ga=0.3, gb=0.2))
     assert generic["holding"] == []
 
 
@@ -361,7 +361,7 @@ def test_survey_reports_gap_closure_at_boundary():
     from nhdeg.model import phase_boundaries
     p = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
     v1, _ = phase_boundaries(p)
-    survey = symmetry_survey(p.replace(v=v1), 12, 12)
+    survey = symmetry_survey(p.replace(v=v1))
     assert abs(survey["eta_X1"]) < 1e-10
     assert abs(survey["eta_X2"]) > 1.0
 
