@@ -397,6 +397,8 @@ def test_cli_theorem_prints_the_first_failure_and_exits_1(tmp_path, capsys, monk
     ["theorem", "--trials", "-2"],
     ["scan", "--nx", "0"],
     ["scan", "--ny", "-1"],
+    ["theorem", "--trials", "0"],
+    ["scan", "--nx", "2.5"],
     ["phases", "--v-steps", "0"],
     ["phases", "--g-steps", "zero"],
     ["ribbon", "--k-samples", "0"],
@@ -510,10 +512,15 @@ def test_cli_symmetry_rejects_non_finite_residuals_and_writes_nothing(tmp_path, 
     assert not out.exists()
 
 
-def test_cli_symmetry_finds_upsilon_broken_on_the_gamma_zero_coexistence_recipe(
-        tmp_path, regime3_file):
-    # t1 breaks upsilon here, though a 2x2 momentum grid shows it holding
+def test_cli_symmetry_rejects_a_grid_below_three_momenta(tmp_path, regime3_file, capsys):
+    # on this recipe a 2x2 momentum grid shows upsilon holding, though t1
+    # breaks it; the command takes no grid, so a grid size is a usage error
+    # and the coefficient tables find upsilon broken
     out = tmp_path / "out"
+    assert main(["symmetry", "--params", str(regime3_file), "--nx", "2", "--ny", "2",
+                 "--out", str(out)]) == 2
+    assert "unrecognized arguments: --nx 2 --ny 2" in capsys.readouterr().err
+    assert not out.exists()
     assert main(["symmetry", "--params", str(regime3_file), "--out", str(out)]) == 0
     doc = json.loads((out / "symmetry.json").read_text())
     assert doc["holding"] == ["upsilon_prime", "upsilon_doubleprime"]

@@ -98,22 +98,33 @@ def scalar_loop_check_bloch(p, spec, nx, ny):
     return right / max(norm, 1.0), left / max(norm, 1.0)
 
 
-@pytest.mark.parametrize("params,name,holds", [
-    (REGIME1.replace(t1=0.3), "upsilon", False),
-    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_prime", False),
-    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_doubleprime", False),
-    (REGIME3_GP, "upsilon_doubleprime", True),
-    (REGIME3_GP.replace(mu_a=0.2, mu_b=-0.4), "upsilon_doubleprime", False),
-    (ModelParams(t=1e-3, gamma=0.3, gx=0.2), "upsilon", True),
-])
-@pytest.mark.parametrize("nx,ny", [(3, 3), (12, 10)])
-def test_check_bloch_matches_scalar_loop(params, name, holds, nx, ny):
+def assert_check_bloch_matches_scalar_loop(params, name, holds):
     spec = builtin_spec(name)
     rep = check_bloch(params, spec)
-    right, left = scalar_loop_check_bloch(params, spec, nx, ny)
     assert rep.holds is holds
-    assert rep.right_residual == pytest.approx(right, rel=1e-12, abs=1e-15)
-    assert rep.left_residual == pytest.approx(left, rel=1e-12, abs=1e-15)
+    for nx, ny in ((3, 3), (12, 10)):
+        right, left = scalar_loop_check_bloch(params, spec, nx, ny)
+        assert rep.right_residual == pytest.approx(right, rel=1e-12, abs=1e-15), (nx, ny)
+        assert rep.left_residual == pytest.approx(left, rel=1e-12, abs=1e-15), (nx, ny)
+
+
+@pytest.mark.parametrize("params,name", [
+    (REGIME1.replace(t1=0.3), "upsilon"),
+    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_prime"),
+    (REGIME1.replace(t1=0.4, v=0.3, ga=0.2, gb=-0.5), "upsilon_doubleprime"),
+    (REGIME3_GP.replace(mu_a=0.2, mu_b=-0.4), "upsilon_doubleprime"),
+])
+def test_check_bloch_matches_scalar_loop(params, name):
+    # broken specs, so the residuals are O(1)
+    assert_check_bloch_matches_scalar_loop(params, name, False)
+
+
+@pytest.mark.parametrize("params,name", [
+    (REGIME3_GP, "upsilon_doubleprime"),
+    (ModelParams(t=1e-3, gamma=0.3, gx=0.2), "upsilon"),
+])
+def test_check_bloch_matches_scalar_loop_where_the_relation_holds(params, name):
+    assert_check_bloch_matches_scalar_loop(params, name, True)
 
 
 _DIAG = ModelParams(t1=0.75, ga=0.5, gb=0.3, gamma=0.5)
@@ -203,6 +214,30 @@ def test_doubleprime_reduces_to_prime_at_gamma_zero():
     rep_p = check_bloch(REGIME3_G0, builtin_spec("upsilon_prime"))
     rep_d = check_bloch(REGIME3_G0, builtin_spec("upsilon_doubleprime"))
     assert rep_p.holds and rep_d.holds
+
+
+def test_check_bloch_three_momenta_per_axis_decide_the_verdict():
+    # each residual entry is a trigonometric polynomial of degree <= 1 per
+    # axis, so the table verdict is that of a 3x3 grid and of a 32x32 one on
+    # every draw; a 2x2 grid aliases its terms and gets some of them wrong
+    rng = np.random.default_rng(5)
+    held, wrong_on_2x2 = set(), 0
+    for trial in range(200):
+        gamma = (0.0, np.pi / 4, np.pi / 2, rng.uniform(-np.pi, np.pi))[trial % 4]
+        t1 = 0.0 if trial % 3 == 0 else rng.uniform(-1, 1)
+        v = 0.0 if trial % 3 < 2 else rng.uniform(-1, 1)
+        p = ModelParams(t1=t1, v=v, gamma=gamma, gx=rng.uniform(-1, 1),
+                        gy=rng.uniform(-1, 1), ga=rng.uniform(-1, 1), gb=rng.uniform(-1, 1))
+        holding = symmetry_survey(p)["holding"]
+        for n in (3, 32):
+            assert holding == [name for name in BUILTIN_NAMES
+                               if check_bloch_matmul(p, builtin_spec(name), n, n).holds], (n, p)
+        coarse = [name for name in BUILTIN_NAMES
+                  if check_bloch_matmul(p, builtin_spec(name), 2, 2).holds]
+        wrong_on_2x2 += coarse != holding
+        held.update(holding)
+    assert held == set(BUILTIN_NAMES)
+    assert wrong_on_2x2 > 0
 
 
 def test_upsilon_is_broken_on_the_gamma_zero_coexistence_recipe():
